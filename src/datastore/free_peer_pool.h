@@ -65,13 +65,8 @@ class FreePeerPool {
   // Acquire from protocol code: pops at the control context, then delivers
   // the answer on `requester`'s execution context (alive-guarded — the
   // popped peer goes back to the front if the requester died in between).
-  // Single-threaded, this collapses to an inline Acquire + callback.
   void AcquireAsync(sim::NodeId requester,
                     std::function<void(std::optional<sim::NodeId>)> cb) {
-    if (!sim_->sharded()) {
-      cb(Acquire());
-      return;
-    }
     sim_->Defer([this, requester, cb = std::move(cb)]() {
       std::optional<sim::NodeId> got = Acquire();
       if (!sim_->IsAlive(requester)) {

@@ -7,7 +7,13 @@
 
 namespace pepper::router {
 
-struct LookupForwardAck : sim::Payload {};
+struct LookupForwardAck : sim::Payload {
+  // false: the hop is not on the ring (a peer that merged away and went
+  // back to the free pool stays alive, so without the refusal its ack
+  // would hide that it has nowhere to route); the sender falls back to its
+  // own ring successor at once.
+  bool routed = true;
+};
 
 RouterBase::RouterBase(ring::RingNode* ring, datastore::DataStoreNode* ds,
                        RouterOptions options, bool greedy)
@@ -94,10 +100,17 @@ void RouterBase::StartAttempt(Key key, uint64_t lookup_id, int retries_left,
 
 void RouterBase::HandleRequest(const sim::Message& msg,
                                const LookupRequest& req) {
+  // A stale routing pointer can name a peer that has left the ring.  It
+  // neither owns the key nor has a successor to pass the lookup on to, so
+  // it refuses the hop instead of acking it into a dead end.
+  const bool routable = (ds_->active() && ds_->range().Contains(req.key)) ||
+                        ring_->GetSuccRelaxed().has_value();
   if (msg.rpc_id != 0) {
-    Reply(msg, sim::MakePayload<LookupForwardAck>());
+    auto ack = std::make_shared<LookupForwardAck>();
+    ack->routed = routable;
+    Reply(msg, std::move(ack));
   }
-  RouteOrAnswer(req);
+  if (routable) RouteOrAnswer(req);
 }
 
 void RouterBase::HandleReply(const sim::Message&, const LookupReply& reply) {
@@ -170,22 +183,33 @@ void RouterBase::RouteOrAnswer(const LookupRequest& req) {
 void RouterBase::ForwardLookup(std::shared_ptr<LookupRequest> fwd,
                                sim::NodeId next, int ring_consults_left) {
   Call(
-      next, fwd, [](const sim::Message&) {}, 4 * ring_->options().ping_timeout,
-      [this, fwd, next, ring_consults_left]() {
-        auto succ = ring_->GetSuccRelaxed();
-        if (ring_consults_left <= 0 || !succ.has_value() ||
-            succ->id == id() || succ->id == next) {
-          // No fresh hop to try: the lookup silently stalls until the
-          // initiator-side retry.  Counted so scenario probes can see and
-          // bound the event instead of misattributing it as a timeout.
-          if (options_.metrics != nullptr) {
-            options_.metrics->counters().Inc(m_dead_end_);
-          }
-          TraceMark("router.fwd_dead_end", fwd->key);
-          return;
+      next, fwd,
+      [this, fwd, next, ring_consults_left](const sim::Message& m) {
+        if (!static_cast<const LookupForwardAck&>(*m.payload).routed) {
+          ForwardFailed(fwd, next, ring_consults_left);
         }
-        ForwardLookup(fwd, succ->id, ring_consults_left - 1);
+      },
+      4 * ring_->options().ping_timeout,
+      [this, fwd, next, ring_consults_left]() {
+        ForwardFailed(fwd, next, ring_consults_left);
       });
+}
+
+void RouterBase::ForwardFailed(std::shared_ptr<LookupRequest> fwd,
+                               sim::NodeId next, int ring_consults_left) {
+  auto succ = ring_->GetSuccRelaxed();
+  if (ring_consults_left <= 0 || !succ.has_value() || succ->id == id() ||
+      succ->id == next) {
+    // No fresh hop to try: the lookup silently stalls until the
+    // initiator-side retry.  Counted so scenario probes can see and bound
+    // the event instead of misattributing it as a timeout.
+    if (options_.metrics != nullptr) {
+      options_.metrics->counters().Inc(m_dead_end_);
+    }
+    TraceMark("router.fwd_dead_end", fwd->key);
+    return;
+  }
+  ForwardLookup(std::move(fwd), succ->id, ring_consults_left - 1);
 }
 
 sim::NodeId LinearRouter::NextHop(Key /*key*/) {

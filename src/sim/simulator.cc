@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <typeinfo>
 
 #include "common/logging.h"
@@ -32,73 +33,26 @@ void Network::Send(Message msg) {
   }
   PEPPER_CHECK(msg.from != kNullNode && msg.to != kNullNode);
   ++messages_sent_[tls_metrics_lane];
-  if (!sim_->sharded()) {
-    // Fixed-latency configs (min == max) skip the per-message RNG draw.
-    // NOTE: the RNG stream position is part of the determinism contract — a
-    // run's schedule is a function of every draw ever made — so whether a
-    // config draws here changes its schedule relative to configs that do.
-    // (Rng::Uniform already consumed no state for a degenerate span, so this
-    // fast path does not change any existing schedule, it only skips the
-    // call.)  Runs remain bit-identical against themselves either way.
-    const SimTime latency =
-        options_.min_latency == options_.max_latency
-            ? options_.min_latency
-            : sim_->rng().Uniform(options_.min_latency, options_.max_latency);
-    SimTime deliver_at = sim_->now() + latency;
-    // FIFO bookkeeping only for channels that can still deliver: a message
-    // to a dead or destroyed peer is dropped at delivery time anyway, and
-    // recording it would resurrect bookkeeping ReleaseNode just pruned.
-    if (sim_->IsAlive(msg.to)) {
-      const NodeId hi = std::max(msg.from, msg.to);
-      if (channels_.size() <= hi) channels_.resize(hi + 1);
-      NodeChannels& nc = channels_[msg.from];
-      if (nc.last_out < nc.out.size() && nc.out[nc.last_out].peer == msg.to) {
-        Channel& ch = nc.out[nc.last_out];  // bursty same-destination hit
-        deliver_at = std::max(deliver_at, ch.last_delivery);  // FIFO
-        ch.last_delivery = deliver_at;
-      } else {
-        auto it = std::lower_bound(
-            nc.out.begin(), nc.out.end(), msg.to,
-            [](const Channel& ch, NodeId id) { return ch.peer < id; });
-        if (it != nc.out.end() && it->peer == msg.to) {
-          nc.last_out = static_cast<uint32_t>(it - nc.out.begin());
-          deliver_at = std::max(deliver_at, it->last_delivery);  // FIFO
-          it->last_delivery = deliver_at;
-        } else {
-          // Sorted insert; creation is once per distinct channel ever.
-          nc.out.insert(it, Channel{msg.to, deliver_at});
-          channels_[msg.to].in_senders.push_back(msg.from);
-          channel_count_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
-    // Gray-failure injection: extra destination delay (requests only — see
-    // set_node_extra_delay) models the receiver's service queue, applied
-    // AFTER the transport FIFO clamp and excluded from the clamp floor —
-    // responses ride the transport untouched and may overtake queued
-    // requests, so a slow peer's own calls still complete on time.  The
-    // delay only ever pushes delivery later, keeping the lookahead lower
-    // bound valid, and with no delay armed the schedule is unchanged.
-    if (!msg.is_response) deliver_at += node_extra_delay(msg.to);
-    sim_->ScheduleMessage(deliver_at, std::move(msg));
-    return;
-  }
-  // Sharded: latency draws come from the sender's per-node stream, so a
-  // node's draw order is a property of that node's execution history alone
-  // — invariant under the shard partition.  The sender's channel row is
-  // owned by the executing shard (or by the parked-worker control context),
-  // so the FIFO bookkeeping needs no locks; only the receiver-side
-  // inbound-sender index of a remote node defers to the barrier.
+  // Latency draws come from the sender's per-node stream, so a node's draw
+  // order is a property of that node's execution history alone — invariant
+  // under the shard partition.  Fixed-latency configs (min == max) skip the
+  // draw.  The sender's channel row is owned by the executing shard (or by
+  // the parked-worker control context), so the FIFO bookkeeping needs no
+  // locks; only the receiver-side inbound-sender index of a remote node
+  // defers to the barrier.
   const SimTime latency =
       options_.min_latency == options_.max_latency
           ? options_.min_latency
           : sim_->SlotRng(msg.from).Uniform(options_.min_latency,
                                             options_.max_latency);
   SimTime deliver_at = sim_->now() + latency;
+  // FIFO bookkeeping only for channels that can still deliver: a message to
+  // a dead or destroyed peer is dropped at delivery time anyway, and
+  // recording it would resurrect bookkeeping ReleaseNode just pruned.
   if (sim_->IsAlive(msg.to)) {
     NodeChannels& nc = channels_[msg.from];  // pre-sized at Register
     if (nc.last_out < nc.out.size() && nc.out[nc.last_out].peer == msg.to) {
-      Channel& ch = nc.out[nc.last_out];
+      Channel& ch = nc.out[nc.last_out];  // bursty same-destination hit
       deliver_at = std::max(deliver_at, ch.last_delivery);  // FIFO
       ch.last_delivery = deliver_at;
     } else {
@@ -110,6 +64,7 @@ void Network::Send(Message msg) {
         deliver_at = std::max(deliver_at, it->last_delivery);  // FIFO
         it->last_delivery = deliver_at;
       } else {
+        // Sorted insert; creation is once per distinct channel ever.
         nc.out.insert(it, Channel{msg.to, deliver_at});
         if (!sim_->NoteNewChannelDeferred(msg.to, msg.from)) {
           channels_[msg.to].in_senders.push_back(msg.from);
@@ -118,8 +73,13 @@ void Network::Send(Message msg) {
       }
     }
   }
-  // Service-queue injection after the FIFO clamp, exactly as in the serial
-  // branch above: requests only, never part of the channel's FIFO floor.
+  // Gray-failure injection: extra destination delay (requests only — see
+  // set_node_extra_delay) models the receiver's service queue, applied
+  // AFTER the transport FIFO clamp and excluded from the clamp floor —
+  // responses ride the transport untouched and may overtake queued
+  // requests, so a slow peer's own calls still complete on time.  The delay
+  // only ever pushes delivery later, keeping the lookahead lower bound
+  // valid, and with no delay armed the schedule is unchanged.
   if (!msg.is_response) deliver_at += node_extra_delay(msg.to);
   sim_->ScheduleMessage(deliver_at, std::move(msg));
 }
@@ -155,24 +115,28 @@ void Network::ReleaseNode(NodeId id) {
 
 Simulator::Simulator(uint64_t seed, NetworkOptions net, uint32_t shards)
     : seed_(seed), rng_(seed), network_(this, net), tracer_(seed) {
-  if (shards == 0) return;
+  if (shards == 0) {
+    std::fprintf(stderr,
+                 "Simulator: shards must be >= 1 (got 0); one shard runs "
+                 "the engine inline on the calling thread\n");
+    std::abort();
+  }
   // Conservative lookahead: every send delivers at least min_latency in the
   // future, so min_latency bounds how far a window can run without
   // cross-shard effects.  A zero floor would make windows degenerate.
   PEPPER_CHECK(net.min_latency >= 1);
   lookahead_ = net.min_latency;
+  shard_count_ = shards;
   shards_.reserve(shards);
   for (uint32_t i = 0; i < shards; ++i) {
     auto sc = std::make_unique<ShardCore>();
     sc->index = i;
-    sc->owner = this;
     sc->outbox.resize(shards);
     shards_.push_back(std::move(sc));
   }
   // A single shard has nothing to overlap with: its windows run inline on
   // the control thread (same schedule — the worker handshake is pure
-  // overhead), which keeps `--shards=1` within the serial engine's
-  // regression band.  Real workers only exist for N > 1.
+  // overhead).  Real workers only exist for N > 1.
   if (shards > 1) {
     for (auto& sc : shards_) {
       sc->thread = std::thread(&Simulator::WorkerMain, this, sc->index);
@@ -202,105 +166,67 @@ Rng& Simulator::rng() {
   return rng_;
 }
 
-void Simulator::At(SimTime t, std::function<void()> fn) {
-  ShardCore* sc = tls_shard_;
-  if (sc != nullptr) {
-    PEPPER_CHECK(t >= sc->now);
-    sc->queue.PushClosureSeq(t, SeqOf(sc->exec_node), sc->exec_node,
-                             std::move(fn));
-    return;
-  }
-  PEPPER_CHECK(t >= now_);
-  if (!sharded()) {
-    queue_.PushClosure(t, std::move(fn));
-    return;
-  }
-  PushCtrl(t, std::move(fn));
-}
-
 void Simulator::After(SimTime delay, std::function<void()> fn) {
   ShardCore* sc = tls_shard_;
-  if (sc != nullptr) {
-    // Shard context: stays on the executing node's shard, attributed to
-    // that node for seq purposes.  Far-future one-shots park in the shard's
-    // wheel just like the single-threaded engine.
-    if (delay >= kFarFuture) {
-      sc->wheel.Arm(sc->exec_node, sc->now + delay, /*period=*/0,
-                    std::move(fn), &sc->queue, SeqOf(sc->exec_node),
-                    /*has_guard=*/false);
-      return;
-    }
-    sc->queue.PushClosureSeq(sc->now + delay, SeqOf(sc->exec_node),
-                             sc->exec_node, std::move(fn));
+  if (sc == nullptr) {
+    // Control closures (workload drivers, scenario probes) run at barriers;
+    // the control heap is shallow, no wheel needed.
+    PushCtrl(CtrlItem{now_ + delay, ctrl_rank_ctr_++, std::move(fn)});
     return;
   }
-  if (!sharded()) {
-    if (delay >= kFarFuture) {
-      // Far-future one-shots (workload arrivals, slow retries) park in the
-      // wheel so the heap stays shallow for the near-future message
-      // traffic; they inject with the seq allocated here, so ordering is
-      // unchanged.
-      wheel_.Arm(kNullNode, now_ + delay, /*period=*/0, std::move(fn),
-                 &queue_, queue_.AllocateSeq(), /*has_guard=*/false);
-      return;
-    }
-    queue_.PushClosure(now_ + delay, std::move(fn));
+  // Shard context: stays on the executing node's shard, attributed to that
+  // node for seq purposes.  Far-future one-shots (workload arrivals, slow
+  // retries) park in the wheel so the heap stays shallow for the
+  // near-future message traffic; they inject with the seq allocated here,
+  // so ordering is unchanged.
+  if (delay >= kFarFuture) {
+    sc->wheel.Arm(sc->exec_node, sc->now + delay, /*period=*/0, std::move(fn),
+                  &sc->queue, SeqOf(sc->exec_node), /*has_guard=*/false);
     return;
   }
-  // Sharded control context: control closures (workload drivers, scenario
-  // probes) run at barriers; the control heap is shallow, no wheel needed.
-  PushCtrl(now_ + delay, std::move(fn));
+  sc->queue.PushClosureSeq(sc->now + delay, SeqOf(sc->exec_node),
+                           sc->exec_node, std::move(fn));
 }
 
 void Simulator::Defer(std::function<void()> fn) {
   ShardCore* sc = tls_shard_;
   if (sc == nullptr) {
-    // Control context (or single-threaded): the caller already holds the
-    // right to touch cluster-global state — run inline so setup-time code
-    // observes its effects immediately.
+    // Control context: the caller already holds the right to touch
+    // cluster-global state — run inline so setup-time code observes its
+    // effects immediately.
     fn();
     return;
   }
-  sc->deferred.push_back(ShardCore::DeferredItem{
-      sc->now, SeqOf(sc->exec_node), std::move(fn)});
+  sc->deferred.push_back(
+      CtrlItem{sc->now, SeqOf(sc->exec_node), std::move(fn)});
+  sc->has_mail = true;
 }
 
 void Simulator::AfterOnNode(NodeId id, SimTime delay,
                             std::function<void()> fn) {
   ShardCore* sc = tls_shard_;
+  SimTime at;
+  uint64_t seq;
   if (sc != nullptr) {
     // A node schedules onto itself (Node::After, RPC plumbing); scheduling
     // onto another shard's node from a worker would race its queue.
     PEPPER_CHECK(ShardOf(id) == sc->index);
-    if (delay >= kFarFuture) {
-      sc->wheel.Arm(id, sc->now + delay, /*period=*/0, std::move(fn),
-                    &sc->queue, SeqOf(sc->exec_node));
-      return;
-    }
-    sc->queue.PushNodeClosureSeq(sc->now + delay, SeqOf(sc->exec_node), id,
-                                 std::move(fn));
-    return;
+    at = sc->now + delay;
+    seq = SeqOf(sc->exec_node);
+  } else {
+    // Control context pushing into a shard: clamp one lookahead out so the
+    // target shard — which may already have executed up to the window edge
+    // — never sees an event in its past.  (Same bound every message
+    // already obeys.)
+    sc = shards_[ShardOf(id)].get();
+    at = now_ + std::max(delay, lookahead_);
+    seq = SeqOf(id);
   }
-  if (!sharded()) {
-    if (delay >= kFarFuture) {
-      wheel_.Arm(id, now_ + delay, /*period=*/0, std::move(fn), &queue_,
-                 queue_.AllocateSeq());
-      return;
-    }
-    queue_.PushNodeClosure(now_ + delay, id, std::move(fn));
-    return;
-  }
-  // Sharded control context pushing into a shard: clamp one lookahead out
-  // so the target shard — which may already have executed up to the window
-  // edge — never sees an event in its past.  (Same bound every message
-  // already obeys.)
-  ShardCore& dst = *shards_[ShardOf(id)];
-  const SimTime at = now_ + std::max(delay, lookahead_);
   if (delay >= kFarFuture) {
-    dst.wheel.Arm(id, at, /*period=*/0, std::move(fn), &dst.queue, SeqOf(id));
+    sc->wheel.Arm(id, at, /*period=*/0, std::move(fn), &sc->queue, seq);
     return;
   }
-  dst.queue.PushNodeClosureSeq(at, SeqOf(id), id, std::move(fn));
+  sc->queue.PushNodeClosureSeq(at, seq, id, std::move(fn));
 }
 
 uint32_t Simulator::ArmTimer(NodeId id, SimTime expiry, SimTime period,
@@ -311,20 +237,12 @@ uint32_t Simulator::ArmTimer(NodeId id, SimTime expiry, SimTime period,
     return sc->wheel.Arm(id, expiry, period, std::move(fn), &sc->queue,
                          SeqOf(sc->exec_node));
   }
-  if (!sharded()) {
-    return wheel_.Arm(id, expiry, period, std::move(fn), &queue_,
-                      queue_.AllocateSeq());
-  }
   ShardCore& dst = *shards_[ShardOf(id)];
   const SimTime at = std::max(expiry, now_ + lookahead_);
   return dst.wheel.Arm(id, at, period, std::move(fn), &dst.queue, SeqOf(id));
 }
 
 void Simulator::CancelWheelTimer(NodeId id, uint32_t idx) {
-  if (!sharded()) {
-    wheel_.Cancel(idx);
-    return;
-  }
   // Cancels come from the node's own execution or from control-context
   // teardown (Node::Fail, Unregister) with workers parked — either way the
   // owning shard's wheel is safe to touch.
@@ -334,27 +252,20 @@ void Simulator::CancelWheelTimer(NodeId id, uint32_t idx) {
 }
 
 void Simulator::ScheduleMessage(SimTime deliver_at, Message msg) {
-  if (!sharded()) {
-    queue_.PushMessage(deliver_at, std::move(msg));
-    return;
-  }
   const uint64_t seq = SeqOf(msg.from);
   const uint32_t dest = ShardOf(msg.to);
   ShardCore* sc = tls_shard_;
-  if (sc == nullptr) {
-    // Control context, workers parked: push straight into the destination
-    // queue.  deliver_at >= now_ + min_latency >= window end, so the shard
-    // has not run past it.
-    shards_[dest]->queue.PushMessageSeq(deliver_at, seq, std::move(msg));
+  PEPPER_CHECK(sc == nullptr || ShardOf(msg.from) == sc->index);
+  if (sc != nullptr && dest != sc->index) {
+    // Cross-shard: the destination shard is running this window too.
+    sc->outbox[dest].push_back(
+        ShardCore::OutMsg{deliver_at, seq, std::move(msg)});
+    sc->has_mail = true;
     return;
   }
-  PEPPER_CHECK(ShardOf(msg.from) == sc->index);
-  if (dest == sc->index) {
-    sc->queue.PushMessageSeq(deliver_at, seq, std::move(msg));
-    return;
-  }
-  sc->outbox[dest].push_back(
-      ShardCore::OutMsg{deliver_at, seq, std::move(msg)});
+  // Same shard, or the control context with workers parked (deliver_at >=
+  // now_ + min_latency >= window end, so the shard has not run past it).
+  shards_[dest]->queue.PushMessageSeq(deliver_at, seq, std::move(msg));
 }
 
 bool Simulator::NoteNewChannelDeferred(NodeId to, NodeId from) {
@@ -362,153 +273,36 @@ bool Simulator::NoteNewChannelDeferred(NodeId to, NodeId from) {
   if (sc == nullptr) return false;            // control: direct append safe
   if (ShardOf(to) == sc->index) return false;  // same shard: ours to touch
   sc->new_in_senders.emplace_back(to, from);
+  sc->has_mail = true;
   return true;
 }
 
-// --- single-threaded engine -------------------------------------------------
+// --- the engine --------------------------------------------------------------
 
-void Simulator::DrainDueTimers() {
-  while (wheel_.HasSlottedTimers()) {
-    const SimTime slot_start = wheel_.EarliestSlotStart();
-    // The slot start lower-bounds every expiry in the slot, so anything the
-    // queue would run first can safely run first; equality must drain (a
-    // slotted tick can carry an older seq than the queue head).
-    if (!queue_.Empty() && queue_.NextTime() < slot_start) break;
-    wheel_.ProcessEarliestSlot(&queue_);
-  }
-}
-
-bool Simulator::PeekNextTime(SimTime* t) {
-  DrainDueTimers();
-  if (queue_.Empty()) return false;
-  *t = queue_.NextTime();
-  return true;
-}
-
-void Simulator::ExecuteTimerFire(uint32_t idx) {
-  {
-    TimerWheel::Timer& t = wheel_.timer(idx);
-    if (t.canceled) {
-      wheel_.Free(idx);
-      return;
-    }
-    if (!t.has_guard) {
-      // Unguarded one-shot (plain Simulator::After parked in the wheel):
-      // runs regardless of node state.
-      BeginEventContext(now_, t.node);
-      std::function<void()> fn = std::move(t.fn);
-      fn();
-      wheel_.Free(idx);
-      return;
-    }
-    Node* n = node(t.node);
-    if (n == nullptr || !n->alive()) {
-      wheel_.Free(idx);
-      return;
-    }
-    BeginEventContext(now_, t.node);
-  }
-  // Run the callback from a local: it may arm new timers and grow the wheel
-  // pool, which would invalidate any reference (or SBO buffer) inside it.
-  std::function<void()> fn = std::move(wheel_.timer(idx).fn);
-  fn();
-  TimerWheel::Timer& t = wheel_.timer(idx);  // re-lookup after execution
-  Node* n = node(t.node);
-  // period == 0 marks a one-shot record (RPC timeouts, far-future After
-  // closures): fire once, free.
-  if (t.period == 0 || t.canceled || n == nullptr || !n->alive()) {
-    wheel_.Free(idx);
-    return;
-  }
-  t.fn = std::move(fn);
-  wheel_.Rearm(idx, now_ + t.period, &queue_, queue_.AllocateSeq());
-}
-
-bool Simulator::Step() {
-  if (sharded()) {
-    // One whole lookahead window: finer-grained stepping would expose
-    // mid-window interleavings that differ across shard counts.
-    return AdvanceWindow(kNoEvent - 1);
-  }
-  SimTime next;
-  if (!PeekNextTime(&next)) return false;
-  ExecuteNext(next);
-  return true;
-}
-
-void Simulator::ExecuteNext(SimTime next) {
-  now_ = std::max(now_, next);
-  Event ev = queue_.PopEvent();
-  ++events_executed_;
-  switch (ev.kind) {
-    case EventKind::kClosure:
-      BeginEventContext(now_, kNullNode);
-      ev.fn();
-      break;
-    case EventKind::kNodeClosure: {
-      // The closure only runs if the node is still registered (ids are
-      // never reused) and alive, so callbacks cannot touch a destroyed or
-      // failed node — the guard the old per-call wrapper lambda enforced.
-      Node* n = node(ev.node);
-      if (n != nullptr && n->alive()) {
-        BeginEventContext(now_, ev.node);
-        ev.fn();
-      }
-      break;
-    }
-    case EventKind::kMessage: {
-      Node* target = node(ev.msg.to);
-      if (target != nullptr && target->alive()) {  // fail-stop drop
-        BeginEventContext(now_, ev.msg.to);
-        target->Deliver(ev.msg);
-      }
-      break;
-    }
-    case EventKind::kTimerFire:
-      ExecuteTimerFire(ev.timer_idx);
-      break;
-    case EventKind::kFree:
-      PEPPER_CHECK(false);
-      break;
-  }
-}
-
-void Simulator::RunUntil(SimTime t) {
-  if (sharded()) {
-    while (AdvanceWindow(t)) {
-    }
-    now_ = std::max(now_, t);
-    return;
-  }
-  SimTime next;
-  while (PeekNextTime(&next) && next <= t) {
-    ExecuteNext(next);
-  }
-  now_ = std::max(now_, t);
-  // Code running between RunUntil calls (probes, drivers) is not an event;
-  // a stale prefix would mislabel its log lines.
-  ClearSimLogContext();
-  trace::Tracer::Clear();
-}
-
-// --- sharded engine ----------------------------------------------------------
-
-void Simulator::PushCtrl(SimTime at, std::function<void()> fn) {
-  ctrl_heap_.push_back(CtrlItem{at, CtrlRank(), std::move(fn)});
+void Simulator::PushCtrl(CtrlItem item) {
+  ctrl_heap_.push_back(std::move(item));
   std::push_heap(ctrl_heap_.begin(), ctrl_heap_.end(), CtrlAfter);
+}
+
+void Simulator::DrainWheel(ShardCore& sc, SimTime end) {
+  // The slot start lower-bounds every expiry in the slot, so anything the
+  // queue would run first can safely run first; equality must drain (a
+  // slotted tick can carry an older seq than the queue head).
+  while (sc.wheel.HasSlottedTimers()) {
+    const SimTime slot_start = sc.wheel.EarliestSlotStart();
+    if (slot_start >= end) return;  // nothing in the wheel due before `end`
+    if (!sc.queue.Empty() && sc.queue.NextTime() < slot_start) return;
+    sc.wheel.ProcessEarliestSlot(&sc.queue);
+  }
 }
 
 SimTime Simulator::ShardPeekNext(ShardCore& sc) {
   // Exact earliest pending time: drain every due wheel slot into the queue
-  // first, exactly like the single-threaded DrainDueTimers.  Slot lower
-  // bounds would depend on cursor position — a partition-dependent value —
-  // and shift window placement across shard counts.
+  // first.  Slot lower bounds would depend on cursor position — a
+  // partition-dependent value — and shift window placement across shard
+  // counts.
   for (;;) {
-    while (sc.wheel.HasSlottedTimers()) {
-      const SimTime slot_start = sc.wheel.EarliestSlotStart();
-      if (!sc.queue.Empty() && sc.queue.NextTime() < slot_start) break;
-      sc.wheel.ProcessEarliestSlot(&sc.queue);
-    }
+    DrainWheel(sc, kNoEvent);
     if (sc.queue.Empty()) {
       sc.next_event = kNoEvent;
       return kNoEvent;
@@ -532,99 +326,71 @@ SimTime Simulator::ShardPeekNext(ShardCore& sc) {
   }
 }
 
-void Simulator::ExecuteShardTimerFire(ShardCore& sc, uint32_t idx) {
-  {
-    TimerWheel::Timer& t = sc.wheel.timer(idx);
-    if (t.canceled) {
-      sc.wheel.Free(idx);
-      return;
-    }
-    if (!t.has_guard) {
-      sc.exec_node = t.node;  // origin attribution (never kNullNode here)
-      ++sc.events;
-      BeginEventContext(sc.now, t.node);
-      std::function<void()> fn = std::move(t.fn);
-      fn();
-      sc.wheel.Free(idx);
-      return;
-    }
-    Node* n = node(t.node);
-    if (n == nullptr || !n->alive()) {
-      sc.wheel.Free(idx);
-      return;
-    }
-    sc.exec_node = t.node;
-    ++sc.events;
-    BeginEventContext(sc.now, t.node);
-  }
-  std::function<void()> fn = std::move(sc.wheel.timer(idx).fn);
-  fn();
+void Simulator::ExecuteTimerFire(ShardCore& sc, uint32_t idx) {
   TimerWheel::Timer& t = sc.wheel.timer(idx);
-  Node* n = node(t.node);
-  if (t.period == 0 || t.canceled || n == nullptr || !n->alive()) {
+  // Unguarded one-shots (a far-future Simulator::After parked in the wheel)
+  // run regardless of node state.
+  if (t.canceled || (t.has_guard && !IsAlive(t.node))) {
     sc.wheel.Free(idx);
     return;
   }
-  t.fn = std::move(fn);
-  sc.wheel.Rearm(idx, sc.now + t.period, &sc.queue, SeqOf(t.node));
+  const NodeId id = t.node;  // origin attribution (never kNullNode here)
+  sc.exec_node = id;
+  ++sc.events;
+  BeginEventContext(sc.now, id);
+  // Run the callback from a local: it may arm new timers and grow the wheel
+  // pool, which would invalidate any reference (or SBO buffer) inside it.
+  std::function<void()> fn = std::move(t.fn);
+  fn();
+  TimerWheel::Timer& fired = sc.wheel.timer(idx);  // re-lookup after running
+  // period == 0 marks a one-shot record (RPC timeouts, far-future After
+  // closures): fire once, free.
+  if (fired.period == 0 || fired.canceled || !IsAlive(id)) {
+    sc.wheel.Free(idx);
+    return;
+  }
+  fired.fn = std::move(fn);
+  sc.wheel.Rearm(idx, sc.now + fired.period, &sc.queue, SeqOf(id));
 }
 
-void Simulator::ExecuteShardNext(ShardCore& sc) {
+void Simulator::ExecuteNext(ShardCore& sc) {
   Event ev = sc.queue.PopEvent();
+  PEPPER_CHECK(ev.kind != EventKind::kFree);
   sc.now = std::max(sc.now, ev.at);
-  // Unlike the single-threaded engine, only events whose action runs are
-  // counted.  Fizzled pops (canceled timers, guard drops) depend on how far
-  // the wheel happened to be drained into the queue at cancel time — a
-  // function of the local queue head, the one partition-dependent quantity
-  // in the engine — so counting them would make `sim.events` vary with the
-  // shard count while every protocol-visible number stays identical.
-  switch (ev.kind) {
-    case EventKind::kClosure:
-      sc.exec_node = ev.node;  // origin attribution, no guard
+  if (ev.kind == EventKind::kTimerFire) {
+    ExecuteTimerFire(sc, ev.timer_idx);
+  } else {
+    // Node closures and messages run only while their node is registered
+    // (ids are never reused) and alive — the fail-stop drop; a plain
+    // closure carries its origin for attribution and no guard.  Only
+    // events whose action runs are counted: fizzled pops (canceled timers,
+    // guard drops) depend on how far the wheel happened to be drained into
+    // the queue at cancel time — a function of the local queue head, the
+    // one partition-dependent quantity in the engine — so counting them
+    // would make `sim.events` vary with the shard count.
+    const bool message = ev.kind == EventKind::kMessage;
+    const NodeId id = message ? ev.msg.to : ev.node;
+    if (ev.kind == EventKind::kClosure || IsAlive(id)) {
+      sc.exec_node = id;
       ++sc.events;
-      BeginEventContext(sc.now, ev.node);
-      ev.fn();
-      break;
-    case EventKind::kNodeClosure: {
-      Node* n = node(ev.node);
-      if (n != nullptr && n->alive()) {
-        sc.exec_node = ev.node;
-        ++sc.events;
-        BeginEventContext(sc.now, ev.node);
+      BeginEventContext(sc.now, id);
+      if (message) {
+        nodes_[id]->Deliver(ev.msg);
+      } else {
         ev.fn();
       }
-      break;
     }
-    case EventKind::kMessage: {
-      Node* target = node(ev.msg.to);
-      if (target != nullptr && target->alive()) {
-        sc.exec_node = ev.msg.to;
-        ++sc.events;
-        BeginEventContext(sc.now, ev.msg.to);
-        target->Deliver(ev.msg);
-      }
-      break;
-    }
-    case EventKind::kTimerFire:
-      ExecuteShardTimerFire(sc, ev.timer_idx);
-      break;
-    case EventKind::kFree:
-      PEPPER_CHECK(false);
-      break;
   }
   sc.exec_node = kNullNode;
 }
 
 void Simulator::RunShardWindow(ShardCore& sc, SimTime end) {
-  for (;;) {
-    while (sc.wheel.HasSlottedTimers()) {
-      const SimTime slot_start = sc.wheel.EarliestSlotStart();
-      if (slot_start >= end) break;  // nothing in the wheel due this window
-      if (!sc.queue.Empty() && sc.queue.NextTime() < slot_start) break;
-      sc.wheel.ProcessEarliestSlot(&sc.queue);
-    }
-    if (sc.queue.Empty() || sc.queue.NextTime() >= end) return;
-    ExecuteShardNext(sc);
+  // ShardPeekNext left every wheel slot due before the queue head drained,
+  // so the head is the shard's next event; each execution may arm timers
+  // that come due within the window, so re-drain after it.
+  while (!sc.queue.Empty() && sc.queue.NextTime() < end) {
+    ExecuteNext(sc);
+    DrainWheel(sc, end);
   }
 }
 
@@ -646,14 +412,14 @@ bool Simulator::AdvanceWindow(SimTime bound) {
   if (shards_.size() == 1) {
     // Inline single-shard execution: the window body runs on this thread
     // with the shard's execution context installed, exactly as a worker
-    // would run it.
+    // would run it.  The context stays installed across windows (the
+    // barrier code below never reads it) and is dropped only before
+    // control work runs or the run returns.
     ShardCore& sc = *shards_[0];
     if (sc.next_event < e) {
       tls_shard_ = &sc;
       tls_metrics_lane = 1;
       RunShardWindow(sc, e);
-      tls_shard_ = nullptr;
-      tls_metrics_lane = 0;
     }
   } else {
     for (auto& sc : shards_) {
@@ -674,6 +440,8 @@ bool Simulator::AdvanceWindow(SimTime bound) {
   // destination order is irrelevant because every event carries its
   // (time, composite seq) key.
   for (auto& src : shards_) {
+    if (!src->has_mail) continue;
+    src->has_mail = false;
     for (size_t d = 0; d < shards_.size(); ++d) {
       for (auto& om : src->outbox[d]) {
         shards_[d]->queue.PushMessageSeq(om.at, om.seq, std::move(om.msg));
@@ -688,34 +456,58 @@ bool Simulator::AdvanceWindow(SimTime bound) {
     src->new_in_senders.clear();
     // Defer()ed control work, stamped with the shard time and origin seq it
     // was requested at.
-    for (auto& item : src->deferred) {
-      ctrl_heap_.push_back(
-          CtrlItem{item.at, item.rank, std::move(item.fn)});
-      std::push_heap(ctrl_heap_.begin(), ctrl_heap_.end(), CtrlAfter);
-    }
+    for (CtrlItem& item : src->deferred) PushCtrl(std::move(item));
     src->deferred.clear();
   }
 
   // Control work due this window, in (time, rank) order.  Plain control
   // ranks are < 2^kSeqBits, so control-originated items sort ahead of
   // shard-deferred ones at the same instant — an arbitrary but fixed rule.
-  while (!ctrl_heap_.empty() && ctrl_heap_.front().at < e) {
-    std::pop_heap(ctrl_heap_.begin(), ctrl_heap_.end(), CtrlAfter);
-    CtrlItem item = std::move(ctrl_heap_.back());
-    ctrl_heap_.pop_back();
-    now_ = std::max(now_, item.at);
-    ++ctrl_events_;
-    BeginEventContext(now_, kNullNode);
-    item.fn();
+  if (!ctrl_heap_.empty() && ctrl_heap_.front().at < e) {
+    LeaveInlineShard();
+    do {
+      std::pop_heap(ctrl_heap_.begin(), ctrl_heap_.end(), CtrlAfter);
+      CtrlItem item = std::move(ctrl_heap_.back());
+      ctrl_heap_.pop_back();
+      now_ = std::max(now_, item.at);
+      ++ctrl_events_;
+      BeginEventContext(now_, kNullNode);
+      item.fn();
+    } while (!ctrl_heap_.empty() && ctrl_heap_.front().at < e);
   }
-  // Control code after the loop (barrier merging, probes) is not
-  // event-scoped: drop the last item's log prefix and trace context.
-  ClearSimLogContext();
-  trace::Tracer::Clear();
   // Pull the control clock to the window edge so driver loops polling
   // now() against a deadline always terminate.
   now_ = std::max(now_, e - 1);
   return true;
+}
+
+void Simulator::LeaveInlineShard() {
+  tls_shard_ = nullptr;
+  tls_metrics_lane = 0;
+}
+
+void Simulator::EndRun() {
+  LeaveInlineShard();
+  // Code running between Step/RunUntil calls (probes, drivers) is not an
+  // event: a stale prefix would mislabel its log lines.  Every event opens
+  // its own context, so one clear on the way out covers all windows.
+  ClearSimLogContext();
+  trace::Tracer::Clear();
+}
+
+bool Simulator::Step() {
+  // One whole lookahead window: finer-grained stepping would expose
+  // mid-window interleavings that differ across shard counts.
+  const bool ran = AdvanceWindow(kNoEvent - 1);
+  EndRun();
+  return ran;
+}
+
+void Simulator::RunUntil(SimTime t) {
+  while (AdvanceWindow(t)) {
+  }
+  now_ = std::max(now_, t);
+  EndRun();
 }
 
 void Simulator::WorkerMain(uint32_t shard_index) {
@@ -744,22 +536,20 @@ void Simulator::WorkerMain(uint32_t shard_index) {
 // --- registry ---------------------------------------------------------------
 
 NodeId Simulator::Register(Node* node) {
+  PEPPER_CHECK(tls_shard_ == nullptr);  // construction is control-only
   nodes_.push_back(node);
   const NodeId id = static_cast<NodeId>(nodes_.size() - 1);
   tracer_.OnRegister(id);
-  if (sharded()) {
-    PEPPER_CHECK(tls_shard_ == nullptr);  // construction is control-only
-    slots_.emplace_back();
-    // Seed-derived per-node stream: draw order is a per-node property, so
-    // it cannot depend on the shard partition.
-    slots_[id].rng = Rng(seed_ ^ (0x9e3779b97f4a7c15ULL * (id + 1)));
-    network_.EnsureChannelCapacity(nodes_.size());
-  }
+  slots_.emplace_back();
+  // Seed-derived per-node stream: draw order is a per-node property, so it
+  // cannot depend on the shard partition.
+  slots_[id].rng = Rng(seed_ ^ (0x9e3779b97f4a7c15ULL * (id + 1)));
+  network_.EnsureChannelCapacity(nodes_.size());
   return id;
 }
 
 void Simulator::Unregister(NodeId id) {
-  if (sharded()) PEPPER_CHECK(tls_shard_ == nullptr);  // teardown at control
+  PEPPER_CHECK(tls_shard_ == nullptr);  // teardown at control
   if (id < nodes_.size()) nodes_[id] = nullptr;
   network_.ReleaseNode(id);
 }
@@ -775,7 +565,6 @@ bool Simulator::IsAlive(NodeId id) const {
 }
 
 uint64_t Simulator::events_executed() const {
-  if (!sharded()) return events_executed_;
   uint64_t total = ctrl_events_;
   for (const auto& sc : shards_) total += sc->events;
   return total;

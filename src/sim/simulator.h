@@ -43,9 +43,8 @@ class Network {
   const NetworkOptions& options() const { return options_; }
   void set_options(NetworkOptions options) { options_ = options; }
   // Incremented on every Send — one-way messages, requests and replies all
-  // funnel through Network::Send.  Counted per metrics lane so sharded
-  // workers never contend; the read aggregates (single-threaded runs only
-  // ever touch lane 0).
+  // funnel through Network::Send.  Counted per metrics lane so shard
+  // workers never contend; the read aggregates.
   uint64_t messages_sent() const {
     uint64_t total = 0;
     for (uint64_t lane : messages_sent_) total += lane;
@@ -68,7 +67,7 @@ class Network {
   // the slow peer's own calls still succeed and nobody else is implicated.
   // Only ever ADDS latency on top of the (FIFO-clamped) drawn base, so the
   // conservative lookahead (min_latency) stays a safe lower bound and the
-  // sharded schedule stays valid; the delay is excluded from the channel's
+  // window schedule stays valid; the delay is excluded from the channel's
   // FIFO floor — a queued request must never drag later transport traffic
   // (in particular the victim's own replies) behind it.  No RNG stream is
   // touched, so the injection is deterministic.  Set from the control
@@ -90,12 +89,12 @@ class Network {
   // and sends *to* it stop being recorded).  Ids are never reused, so
   // without this long churn runs grow the bookkeeping with one entry per
   // channel every dead peer ever used.  O(channels of `id`) via the
-  // inbound-sender index, not a full scan.  Control-context only in
-  // sharded mode (it touches every shard's tables).
+  // inbound-sender index, not a full scan.  Control-context only (it
+  // touches every shard's tables).
   void ReleaseNode(NodeId id);
 
-  // Sharded mode pre-sizes the per-node tables at Register so shard
-  // workers never trigger a resize.
+  // Register pre-sizes the per-node tables so shard workers never trigger
+  // a resize.
   void EnsureChannelCapacity(size_t n) {
     if (channels_.size() < n) channels_.resize(n);
   }
@@ -110,7 +109,7 @@ class Network {
   // the sends crossing it.  The old nested unordered_map<from,
   // unordered_map<to, SimTime>> cost two hash lookups per send.
   //
-  // Sharded-mode ownership: channels_[n] is touched only by n's shard
+  // Ownership: channels_[n] is touched only by n's shard
   // worker during a window (nodes send only from their own execution) and
   // by the control thread at barriers; the exception is the inbound-sender
   // index of a *remote* node, whose append is deferred to the barrier (see
@@ -143,27 +142,28 @@ class Network {
 //
 // The hot path is allocation-free in steady state: message deliveries and
 // timer ticks are fixed-size records recycled through the EventQueue arena
-// and the TimerWheel pool; only generic At/After closures still engage a
+// and the TimerWheel pool; only generic After closures still engage a
 // std::function.
 //
-// --- Sharded mode (shards > 0) ---------------------------------------------
+// --- One engine, any partition ----------------------------------------------
 //
-// Nodes are partitioned across `shards` worker threads by dense NodeId
-// (id % shards); each shard owns a private EventQueue arena, TimerWheel and
-// per-node RNG streams, and the shards run in lock-step windows bounded by
-// the conservative lookahead L = max(min_latency, 1): every message sent at
-// time t delivers at t + latency >= t + L, so a window [m, e) with
-// m = the exact global minimum next-event time and e = min(m + L, bound+1)
-// can execute on all shards in parallel — nothing that happens inside the
-// window can affect another node before e.  Cross-shard sends land in
-// per-(src, dst) outboxes merged into the destination queue at the barrier;
-// every event carries a composite seq ((origin NodeId + 1) << 40 | per-origin
-// counter), so the (time, seq) order — and therefore the entire run — is
-// bit-identical for any shard count.  Control work (nodeless closures,
+// Nodes are partitioned across `shards` (>= 1, default 1) by dense NodeId
+// (id % shards); each shard owns a private EventQueue arena and TimerWheel,
+// every node owns a seed-derived RNG stream, and the shards run in
+// lock-step windows bounded by the conservative lookahead
+// L = max(min_latency, 1): every message sent at time t delivers at
+// t + latency >= t + L, so a window [m, e) with m = the exact global
+// minimum next-event time and e = min(m + L, bound+1) can execute on all
+// shards in parallel — nothing that happens inside the window can affect
+// another node before e.  Cross-shard sends land in per-(src, dst) outboxes
+// merged into the destination queue at the barrier; every event carries a
+// composite seq ((origin NodeId + 1) << 40 | per-origin counter), so the
+// (time, seq) order — and therefore the entire run — is bit-identical for
+// any shard count, the default included.  Control work (nodeless closures,
 // Defer()ed cross-node state changes, node construction/failure) runs
 // single-threadedly at the barriers, stamped and ordered by (time, rank).
-// Single-threaded mode (shards == 0, the default) is byte-for-byte the
-// pre-sharding engine.
+// One shard runs its windows inline on the calling thread; worker threads
+// exist only for shards > 1.
 class Simulator {
  public:
   // One-shot delays at or beyond this park in the timer wheel instead of
@@ -177,47 +177,41 @@ class Simulator {
   static constexpr int kSeqBits = 40;
 
   explicit Simulator(uint64_t seed, NetworkOptions net = NetworkOptions(),
-                     uint32_t shards = 0);
+                     uint32_t shards = 1);
   ~Simulator();
 
-  bool sharded() const { return !shards_.empty(); }
-  uint32_t shard_count() const { return static_cast<uint32_t>(shards_.size()); }
   SimTime lookahead() const { return lookahead_; }
 
-  // Current virtual time of the calling context: a shard worker sees its
-  // shard clock, everyone else the control clock (== the single-threaded
-  // clock when not sharded).
+  // Current virtual time of the calling context: an executing event sees
+  // its shard clock, everyone else the control clock.
   SimTime now() const;
 
-  void At(SimTime t, std::function<void()> fn);
   void After(SimTime delay, std::function<void()> fn);
 
   // Runs `fn` in the control context, where cluster-global state (oracle,
   // free-peer pool, driver bookkeeping) is safe to touch: immediately when
-  // called from control or in single-threaded mode, at the next window
-  // barrier — ordered by (shard time, origin seq) — when called from a
-  // shard worker.
+  // called from control, at the next window barrier — ordered by (shard
+  // time, origin seq) — when called from an executing event.
   void Defer(std::function<void()> fn);
   // Schedules `fn` on `id`'s execution context (alive-guarded), from the
-  // control context; lands one lookahead window out in sharded mode.
+  // control context; lands one lookahead window out.
   void PostToNode(NodeId id, std::function<void()> fn) {
     AfterOnNode(id, 0, std::move(fn));
   }
 
-  // Executes the next event — a whole lookahead window in sharded mode
-  // (finer steps would expose mid-window states that differ across shard
-  // counts) — and returns false if nothing is scheduled.
+  // Executes the next whole lookahead window (finer steps would expose
+  // mid-window states that differ across shard counts) and returns false
+  // if nothing is scheduled.
   bool Step();
   void RunFor(SimTime duration) { RunUntil(now() + duration); }
   void RunUntil(SimTime t);
 
-  // Calling context's RNG: the per-node stream of the executing node on a
-  // shard worker, the global control stream otherwise.  Sharded runs give
-  // every node its own seed-derived stream so draw order is a per-node
-  // property, invariant under the partition.
+  // Calling context's RNG: the per-node stream of the executing node inside
+  // an event, the control stream otherwise.  Every node has its own
+  // seed-derived stream so draw order is a per-node property, invariant
+  // under the partition.
   Rng& rng();
   Network& network() { return network_; }
-  Counters& counters() { return counters_; }
 
   // Deterministic causal tracing (off by default; see trace/tracer.h).
   // Enable from the control context, passing the per-lane flight-recorder
@@ -239,25 +233,36 @@ class Simulator {
   void Unregister(NodeId id);
   Node* node(NodeId id) const;
   bool IsAlive(NodeId id) const;
-  size_t num_registered() const { return nodes_.size(); }
 
-  // Total events executed (messages, ticks, closures); deterministic for a
-  // given seed — and, sharded, for any shard count — and the numerator of
-  // the scenario runner's events/sec.
+  // Total events whose action ran (messages, ticks, closures; fizzled pops
+  // are not counted); deterministic for a given seed at any shard count,
+  // and the numerator of the scenario runner's events/sec.
   uint64_t events_executed() const;
-  // Single-threaded-engine introspection (bench/event_core tests).
-  const EventQueue& queue() const { return queue_; }
-  const TimerWheel& wheel() const { return wheel_; }
+  // Shard 0's structures (bench/event_core test introspection).
+  const EventQueue& queue() const { return shards_[0]->queue; }
+  const TimerWheel& wheel() const { return shards_[0]->wheel; }
 
  private:
   friend class Network;
   friend class Node;
 
+  // Control work: a nodeless closure or a Defer()ed item, ordered by
+  // (time, rank).
+  struct CtrlItem {
+    SimTime at;
+    uint64_t rank;
+    std::function<void()> fn;
+  };
+  // Heap comparator (std::push_heap builds a max-heap; invert for min).
+  static bool CtrlAfter(const CtrlItem& a, const CtrlItem& b) {
+    if (a.at != b.at) return a.at > b.at;
+    return a.rank > b.rank;
+  }
+
   // One shard: a complete single-threaded simulator core over the subset
   // of nodes with id % shards == index, plus the cross-shard plumbing.
   struct ShardCore {
     uint32_t index = 0;
-    Simulator* owner = nullptr;
     EventQueue queue;
     TimerWheel wheel;
     SimTime now = 0;
@@ -278,12 +283,10 @@ class Simulator {
     // shards cannot matter).
     std::vector<std::pair<NodeId, NodeId>> new_in_senders;
     // Defer()ed control work stamped (shard time, origin seq).
-    struct DeferredItem {
-      SimTime at;
-      uint64_t rank;
-      std::function<void()> fn;
-    };
-    std::vector<DeferredItem> deferred;
+    std::vector<CtrlItem> deferred;
+    // Set when any of the three mailboxes above got an entry this window,
+    // so the barrier skips shards that produced none.
+    bool has_mail = false;
 
     // Worker handshake.  Condvar-based: correct and cheap whether the host
     // has one core or many (a spin barrier would starve on small hosts).
@@ -303,17 +306,6 @@ class Simulator {
     NodeSlot() : rng(0) {}
   };
 
-  struct CtrlItem {
-    SimTime at;
-    uint64_t rank;
-    std::function<void()> fn;
-  };
-  // Heap comparator (std::push_heap builds a max-heap; invert for min).
-  static bool CtrlAfter(const CtrlItem& a, const CtrlItem& b) {
-    if (a.at != b.at) return a.at > b.at;
-    return a.rank > b.rank;
-  }
-
   // Node::After without the old per-call wrapper closure: the alive guard
   // lives in the event record, not a capturing lambda.
   void AfterOnNode(NodeId id, SimTime delay, std::function<void()> fn);
@@ -329,77 +321,65 @@ class Simulator {
   bool NoteNewChannelDeferred(NodeId to, NodeId from);
   Rng& SlotRng(NodeId id) { return slots_[id].rng; }
 
-  // --- single-threaded engine ---
-  // Moves every wheel slot due at or before the queue head into the queue,
-  // so the heap top is the globally earliest event by (time, seq).
-  void DrainDueTimers();
-  bool PeekNextTime(SimTime* t);
-  // Pops and runs the queue head (caller already drained and peeked).
-  void ExecuteNext(SimTime next);
-  void ExecuteTimerFire(uint32_t idx);
-
-  // --- sharded engine ---
+  // One shard (the default) skips the division every send, arm and cancel
+  // would otherwise pay.
   uint32_t ShardOf(NodeId id) const {
-    return id % static_cast<uint32_t>(shards_.size());
+    return shard_count_ == 1 ? 0 : id % shard_count_;
   }
   // Next composite seq for events originating at `id` (control thread at
   // barriers or the owning shard worker — never concurrent).
   uint64_t SeqOf(NodeId id) {
     return ((static_cast<uint64_t>(id) + 1) << kSeqBits) | slots_[id].seq_ctr++;
   }
-  uint64_t CtrlRank() { return ctrl_rank_ctr_++; }
-  void PushCtrl(SimTime at, std::function<void()> fn);
+  void PushCtrl(CtrlItem item);
+  // Moves every wheel slot that starts before `end` and at or before the
+  // queue head into the queue, so the heap top is the shard's earliest
+  // event by (time, seq).
+  void DrainWheel(ShardCore& sc, SimTime end);
   // Exact earliest pending event time of one shard (drains due wheel slots
   // into the queue first — slot lower bounds would depend on cursor state
   // and break the shard-count invariance of the window placement).
   SimTime ShardPeekNext(ShardCore& sc);
-  // Executes every event with time < end on one shard (worker thread).
+  // Executes every event with time < end on one shard; requires the
+  // ShardPeekNext of this window.
   void RunShardWindow(ShardCore& sc, SimTime end);
-  void ExecuteShardNext(ShardCore& sc);
-  void ExecuteShardTimerFire(ShardCore& sc, uint32_t idx);
+  // Pops and runs the shard's queue head.
+  void ExecuteNext(ShardCore& sc);
+  void ExecuteTimerFire(ShardCore& sc, uint32_t idx);
   // One lock-step window: find m, run [m, e) on all shards in parallel,
   // then merge mailboxes and run control work at the barrier.  Returns
   // false if nothing is pending at or before `bound`.
   bool AdvanceWindow(SimTime bound);
+  // Returns the calling thread to the control context after inline
+  // single-shard windows.
+  static void LeaveInlineShard();
+  // Leaves the inline shard and drops the last event's log prefix and trace
+  // context on the way back to the caller of Step/RunUntil.
+  static void EndRun();
   void WorkerMain(uint32_t shard_index);
 
   static constexpr SimTime kNoEvent = ~SimTime{0};
 
-  // Execution-context marker: the worker thread's own ShardCore, null on
-  // the control thread and in single-threaded mode.
+  // Execution-context marker: the ShardCore whose window the calling
+  // thread is running, null in the control context.
   static thread_local ShardCore* tls_shard_;
 
   uint64_t seed_;
-  SimTime now_ = 0;  // control clock in sharded mode
-  EventQueue queue_;
-  TimerWheel wheel_;
-  Rng rng_;
+  SimTime now_ = 0;  // control clock
+  Rng rng_;          // control stream
   Network network_;
-  Counters counters_;
   trace::Tracer tracer_;
   TelemetrySink* telemetry_sink_ = nullptr;
-  uint64_t events_executed_ = 0;
   std::vector<Node*> nodes_;  // index == NodeId; nullptr when destroyed
 
-  // Sharded-mode state (empty / unused when shards == 0).
   std::vector<std::unique_ptr<ShardCore>> shards_;
+  uint32_t shard_count_ = 0;
   std::vector<NodeSlot> slots_;  // per-node rng + seq counter
   SimTime lookahead_ = 0;
   std::vector<CtrlItem> ctrl_heap_;  // min-heap on (at, rank)
   uint64_t ctrl_rank_ctr_ = 0;
   uint64_t ctrl_events_ = 0;
 };
-
-// Wraps a callback so its body runs in the simulator's control context (see
-// Simulator::Defer); completion callbacks that touch cluster-global state
-// (oracle, workload bookkeeping) from protocol code use this to stay
-// deterministic under sharding.  Arguments are captured by value.
-template <typename F>
-auto DeferredCallback(Simulator* sim, F fn) {
-  return [sim, fn = std::move(fn)](auto... args) {
-    sim->Defer([fn, args...]() { fn(args...); });
-  };
-}
 
 }  // namespace pepper::sim
 

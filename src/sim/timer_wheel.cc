@@ -100,6 +100,7 @@ void TimerWheel::Insert(uint32_t idx) {
     ++slotted_count_;
     if (cache_valid_ && overflow_min_ < cached_earliest_) {
       cached_earliest_ = overflow_min_;
+      cached_level_ = kOverflowLevel;
     }
     return;
   }
@@ -113,8 +114,13 @@ void TimerWheel::Insert(uint32_t idx) {
   occupied_[level] |= uint64_t{1} << slot;
   t.state = State::kInSlot;
   ++slotted_count_;
-  if (cache_valid_ && slot_start < cached_earliest_) {
+  // Ties go to the lowest wheel level, and the wheel beats the overflow
+  // list — the order RecomputeEarliest picks in.
+  if (cache_valid_ &&
+      (slot_start < cached_earliest_ ||
+       (slot_start == cached_earliest_ && level < cached_level_))) {
     cached_earliest_ = slot_start;
+    cached_level_ = level;
   }
 }
 
@@ -151,38 +157,36 @@ SimTime TimerWheel::LevelEarliestStart(int level) const {
   return cycle_base + cycle + s * width;
 }
 
-SimTime TimerWheel::RecomputeEarliest() const {
-  SimTime best = overflow_min_;
+void TimerWheel::RecomputeEarliest() const {
+  cached_earliest_ = kNoSlot;
+  cached_level_ = kOverflowLevel;
   for (int level = 0; level < kLevels; ++level) {
-    best = std::min(best, LevelEarliestStart(level));
+    const SimTime start = LevelEarliestStart(level);
+    if (start < cached_earliest_) {
+      cached_earliest_ = start;
+      cached_level_ = level;
+    }
   }
-  return best;
+  if (overflow_min_ < cached_earliest_) {
+    cached_earliest_ = overflow_min_;
+    cached_level_ = kOverflowLevel;
+  }
+  cache_valid_ = true;
 }
 
 SimTime TimerWheel::EarliestSlotStart() const {
-  if (!cache_valid_) {
-    cached_earliest_ = RecomputeEarliest();
-    cache_valid_ = true;
-  }
+  if (!cache_valid_) RecomputeEarliest();
   PEPPER_CHECK(cached_earliest_ != kNoSlot);
   return cached_earliest_;
 }
 
 void TimerWheel::ProcessEarliestSlot(EventQueue* queue) {
-  int best_level = -1;
-  SimTime best_start = kNoSlot;
-  for (int level = 0; level < kLevels; ++level) {
-    const SimTime start = LevelEarliestStart(level);
-    if (start < best_start) {
-      best_start = start;
-      best_level = level;
-    }
-  }
-  if (overflow_min_ < best_start) {
+  const SimTime best_start = EarliestSlotStart();
+  const int best_level = cached_level_;
+  if (best_level == kOverflowLevel) {
     ProcessOverflow(queue);
     return;
   }
-  PEPPER_CHECK(best_level >= 0);
   cache_valid_ = false;
   const uint32_t slot = static_cast<uint32_t>(
       (best_start >> (kSlotBits * best_level)) & (kSlots - 1));

@@ -71,8 +71,7 @@ class TimerWheel {
   // observed at fire/slot time).  If expiry is not in the future relative
   // to the wheel cursor the fire event is injected into `queue` directly.
   // `seq` is the (at, seq) tie-break key the fire will carry — the caller
-  // allocates it (queue->AllocateSeq() single-threaded, composite
-  // per-origin seqs sharded) so the wheel works for both schemes.
+  // allocates it (the simulator's composite per-origin seq).
   uint32_t Arm(NodeId node, SimTime expiry, SimTime period,
                std::function<void()> fn, EventQueue* queue, uint64_t seq,
                bool has_guard = true);
@@ -108,9 +107,13 @@ class TimerWheel {
   void ProcessOverflow(EventQueue* queue);
   // Earliest occupied slot start at one level (kNoSlot if empty).
   SimTime LevelEarliestStart(int level) const;
-  SimTime RecomputeEarliest() const;
+  // Refills the EarliestSlotStart cache: the earliest slot start and the
+  // level holding it.
+  void RecomputeEarliest() const;
 
   static constexpr SimTime kNoSlot = ~SimTime{0};
+  // cached_level_ value when the overflow list holds the earliest expiry.
+  static constexpr int kOverflowLevel = kLevels;
 
   std::vector<Timer> pool_;
   std::vector<uint32_t> free_;
@@ -126,10 +129,12 @@ class TimerWheel {
   SimTime cursor_ = 0;
   size_t slotted_count_ = 0;
   size_t live_count_ = 0;  // armed and not canceled (slotted or pending)
-  // Cached EarliestSlotStart(): kept as a running min on insert (a slot
-  // start never decreases otherwise), invalidated by slot processing.  The
-  // drain loop probes this once per simulator step, so it must be O(1).
+  // Cached EarliestSlotStart() and the level that holds it (which slot
+  // ProcessEarliestSlot takes next): kept as a running min on insert (a
+  // slot start never decreases otherwise), invalidated by slot processing.
+  // The drain loop probes this after every event, so it must be O(1).
   mutable SimTime cached_earliest_ = kNoSlot;
+  mutable int cached_level_ = kOverflowLevel;
   mutable bool cache_valid_ = false;
 
  public:

@@ -88,11 +88,9 @@ Cluster::Cluster(ClusterOptions options)
   if (monitor_ != nullptr) {
     sim_->set_telemetry_sink(monitor_.get());
   }
-  if (options_.shards > 0) {
-    // Shard workers record latencies and counters into per-thread lanes;
-    // pre-allocate them before any worker touches a histogram.
-    metrics_.EnableConcurrentLanes();
-  }
+  // Shard workers record latencies and counters into per-thread lanes;
+  // pre-allocate them before any worker touches a histogram.
+  metrics_.EnableConcurrentLanes();
   if (options_.trace) {
     sim_->EnableTracing(options_.trace_ring_capacity,
                         options_.trace_sample_every);

@@ -34,10 +34,11 @@ struct PeerStack {
 
 struct ClusterOptions {
   uint64_t seed = 42;
-  // 0 = single-threaded simulator; N > 0 partitions the nodes across N
-  // worker shards under conservative-lookahead windows.  Results (CSV,
-  // counters, audits) are bit-identical for any N >= 1 at a given seed.
-  uint32_t shards = 0;
+  // Partitions the nodes across N >= 1 simulator shards under
+  // conservative-lookahead windows (N = 1 runs inline, N > 1 on worker
+  // threads).  Results (CSV, counters, audits) are bit-identical for every
+  // N at a given seed.  0 is rejected: there is one engine.
+  uint32_t shards = 1;
   sim::NetworkOptions net;
   ring::RingOptions ring;
   datastore::DataStoreOptions ds;

@@ -95,7 +95,8 @@ TEST(ProtocolComponentTest, ComponentTimersCancelledOnDestruction) {
   int observed = 0;
   {
     AttachedLayer upper(host.node());
-    sim.RunFor(550);
+    // Armed from the control context: first tick one lookahead out.
+    sim.RunFor(sim.lookahead() + 450);
     observed = upper.ticks;
     EXPECT_EQ(observed, 5);
   }  // upper destroyed; its periodic timer must stop, host stays alive

@@ -17,6 +17,15 @@
 namespace pepper::sim {
 namespace {
 
+// The timer tests arm from the control context, where a push onto a node
+// lands no earlier than one lookahead (min_latency) out.  A 1 us lookahead
+// keeps their arm-time arithmetic exact.
+NetworkOptions TimerNet() {
+  NetworkOptions net;
+  net.min_latency = 1;
+  return net;
+}
+
 TEST(EventPoolTest, TieBreakSurvivesPoolRecycling) {
   // Push/run/push so arena slots are recycled through the free list; the
   // (time, seq) order must still be global insertion order, not slot order.
@@ -44,13 +53,16 @@ TEST(EventPoolTest, TieBreakSurvivesPoolRecycling) {
 
 TEST(EventPoolTest, SteadyStateReusesArenaSlots) {
   Simulator sim(1);
+  Node node(&sim);
   int count = 0;
   std::function<void()> chain = [&]() {
-    if (++count < 10000) sim.After(10, chain);
+    if (++count < 10000) node.After(10, chain);
   };
-  sim.After(10, chain);
+  node.After(10, chain);
+  sim.RunFor(sim.lookahead());  // the first link lands one lookahead out
   sim.RunFor(20);  // warm up
   const size_t cap = sim.queue().pool_capacity();
+  ASSERT_GT(cap, 0u);  // the chain runs on the shard queue
   sim.RunFor(1000 * 1000);
   EXPECT_EQ(count, 10000);
   // One self-rescheduling closure: the arena must not have grown.
@@ -98,7 +110,7 @@ TEST(TimerWheelTest, ExactPeriodsAcrossWheelLevels) {
   // Periods spanning level 0 (< 64us) up to level 3+ (> 64^3 us), armed
   // with the cursor away from zero.  Every fire must land exactly at
   // initial + k * period — cascade and slot math introduce no drift.
-  Simulator sim(1);
+  Simulator sim(1, TimerNet());
   TickRecorder node(&sim);
   sim.RunFor(777777);
   const SimTime t0 = sim.now();
@@ -137,7 +149,7 @@ TEST(TimerWheelTest, BeyondHorizonDelaysFireExactly) {
   // cursor's own top-level slot, which the boundary rule immediately
   // re-processed — Step() span forever on any After() >= the horizon armed
   // with the cursor on a top-slot boundary (e.g. time 0).
-  Simulator sim(1);
+  Simulator sim(1, TimerNet());
   TickRecorder node(&sim);
   const SimTime horizon = SimTime{1} << 36;
   std::vector<SimTime> fired;
@@ -153,7 +165,7 @@ TEST(TimerWheelTest, BeyondHorizonDelaysFireExactly) {
 }
 
 TEST(TimerWheelTest, CancelFromInsideOwnTick) {
-  Simulator sim(3);
+  Simulator sim(3, TimerNet());
   TickRecorder node(&sim);
   int ticks = 0;
   uint64_t id = 0;
@@ -171,7 +183,7 @@ TEST(TimerWheelTest, CancelOtherTimerDueAtSameInstant) {
   // Timer A (armed first => earlier seq) cancels timer B inside the very
   // tick where both are due: B's fire must fizzle, exactly like the old
   // queue-resident tick event that re-checked its id at pop time.
-  Simulator sim(3);
+  Simulator sim(3, TimerNet());
   TickRecorder node(&sim);
   int a_ticks = 0;
   int b_ticks = 0;
@@ -190,7 +202,7 @@ TEST(TimerWheelTest, CancelOtherTimerDueAtSameInstant) {
 }
 
 TEST(TimerWheelTest, CancelThenReArmIsAFreshTimer) {
-  Simulator sim(3);
+  Simulator sim(3, TimerNet());
   TickRecorder node(&sim);
   int first = 0;
   int second = 0;
@@ -209,7 +221,7 @@ TEST(TimerWheelTest, TickSurvivesWheelPoolGrowth) {
   // Arming many timers from inside a tick grows the wheel's record pool;
   // the executing timer's callback and rearm state must survive the
   // reallocation (the simulator moves the closure out before running it).
-  Simulator sim(3);
+  Simulator sim(3, TimerNet());
   TickRecorder node(&sim);
   int ticks = 0;
   bool grown = false;
@@ -309,23 +321,27 @@ TEST(NetworkTablesTest, ManyPeersKeepFifoPerChannel) {
 }
 
 TEST(NetworkTest, FixedLatencyModeSkipsRngDraws) {
-  // min_latency == max_latency must not consume RNG state: the stream
-  // position after N sends matches a run that sent nothing.  (The RNG
-  // stream position is part of the determinism contract — see
+  // min_latency == max_latency must not consume RNG state: the sender's
+  // stream position after N sends matches a run that sent nothing.  (The
+  // RNG stream position is part of the determinism contract — see
   // Network::Send — so this fast path is pinned by a test.)
   struct P : Payload {};
   NetworkOptions fixed;
   fixed.min_latency = kMillisecond;
   fixed.max_latency = kMillisecond;
-  Simulator active(123, fixed);
-  Simulator idle(123, fixed);
-  {
-    Node a(&active), b(&active);
+  auto next_draw = [&fixed](int sends) {
+    Simulator sim(123, fixed);
+    Node a(&sim), b(&sim);
     b.On<P>([](const Message&, const P&) {});
-    for (int i = 0; i < 50; ++i) a.Send(b.id(), std::make_shared<P>());
-    active.RunFor(kSecond);
-  }
-  EXPECT_EQ(active.rng().Next(), idle.rng().Next());
+    for (int i = 0; i < sends; ++i) a.Send(b.id(), std::make_shared<P>());
+    sim.RunFor(kSecond);
+    uint64_t draw = 0;
+    sim.PostToNode(a.id(), [&] { draw = sim.rng().Next(); });  // a's stream
+    sim.RunFor(kSecond);
+    return draw;
+  };
+  EXPECT_NE(next_draw(0), 0u);
+  EXPECT_EQ(next_draw(50), next_draw(0));
 }
 
 TEST(PayloadPoolTest, MakePayloadReusesFreedBlocksAtSteadyState) {

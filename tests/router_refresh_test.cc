@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "datastore/data_store_node.h"
 #include "datastore/free_peer_pool.h"
@@ -117,11 +118,15 @@ TEST(RouterDeadEndTest, DeadForwardHopIsCountedAndLookupStillCompletes) {
   auto members = c.LiveMembers();
   ASSERT_GE(members.size(), 10u);
 
-  // Kill the owner of the probe key and look it up immediately through the
-  // owner's ring predecessor: the forward goes to the dead owner, times
-  // out, and the ring fallback still reports the same (not yet repaired)
-  // successor — the dead-end the counter must see.  The initiator-side
-  // retry then completes the lookup against the repaired ring.
+  // Kill the owner of the probe key and its next two ring successors, and
+  // look the key up immediately through the owner's ring predecessor.  The
+  // forward goes to the dead owner and times out; the ring fallback then
+  // has two consults left, and each can only reach the next dead peer: the
+  // predecessor's ping loop drops one dead successor per ping period, which
+  // is longer than the forward timeout, so three consecutive dead
+  // successors outlast the consult budget whatever the ping phase — the
+  // dead-end the counter must see.  The initiator-side retry then
+  // completes the lookup against the repaired ring.
   const Key probe = 654321;
   PeerStack* owner = nullptr;
   for (PeerStack* p : members) {
@@ -131,7 +136,17 @@ TEST(RouterDeadEndTest, DeadForwardHopIsCountedAndLookupStillCompletes) {
   PeerStack* via = c.FindPeer(owner->ring->pred_id());
   ASSERT_NE(via, nullptr);
   ASSERT_NE(via, owner);
-  c.FailPeer(owner);
+  ASSERT_GT(o.ring.ping_period, 4 * o.ring.ping_timeout);
+  std::vector<PeerStack*> dead{owner};
+  while (dead.size() < 3) {
+    const auto succ = dead.back()->ring->GetSuccRelaxed();
+    ASSERT_TRUE(succ.has_value());
+    PeerStack* next = c.FindPeer(succ->id);
+    ASSERT_NE(next, nullptr);
+    ASSERT_NE(next, via);
+    dead.push_back(next);
+  }
+  for (PeerStack* p : dead) c.FailPeer(p);
 
   struct R {
     bool done = false;

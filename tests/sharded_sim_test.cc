@@ -1,5 +1,6 @@
-// Sharded-engine tests: the conservative-lookahead parallel simulator must
-// be indistinguishable from itself at any shard count — same metrics, same
+// Shard-count tests: the one conservative-lookahead engine must be
+// indistinguishable from itself at any shard count — the default included —
+// same metrics, same
 // event order at shard boundaries, FIFO across cross-shard channels — and
 // must keep fail-stop semantics when a node dies or unregisters with
 // cross-shard messages still in flight.
@@ -7,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -221,11 +223,12 @@ struct ReplayResult {
   std::string trace;  // tracer DumpText, only with trace=true
 };
 
-ReplayResult RunClusterReplay(uint64_t seed, uint32_t shards,
+// No shard count keeps the ClusterOptions default (the run users get).
+ReplayResult RunClusterReplay(uint64_t seed, std::optional<uint32_t> shards,
                               bool trace = false) {
   ClusterOptions copts = ClusterOptions::FastDefaults();
   copts.seed = seed;
-  copts.shards = shards;
+  if (shards.has_value()) copts.shards = *shards;
   copts.trace = trace;
   // Big enough that nothing is evicted: ring eviction is lane-local, and
   // lane layouts differ across shard counts — the identity contract only
@@ -261,14 +264,16 @@ ReplayResult RunClusterReplay(uint64_t seed, uint32_t shards,
     r.trace = cluster.sim().tracer().DumpText();
   }
   EXPECT_EQ(driver.query_violations(), 0u)
-      << "seed " << seed << " shards " << shards;
+      << "seed " << seed << " shards " << shards.value_or(0);
   return r;
 }
 
+// The replay pin: a default-configured run is byte-identical to explicit
+// one-, two- and four-shard partitions of it.
 TEST(ShardedSimTest, ClusterReplayIsIdenticalAcrossShardCounts) {
   for (uint64_t seed : {42ull, 7ull, 1234ull}) {
-    const ReplayResult one = RunClusterReplay(seed, 1);
-    for (uint32_t shards : {2u, 4u}) {
+    const ReplayResult one = RunClusterReplay(seed, std::nullopt);
+    for (uint32_t shards : {1u, 2u, 4u}) {
       const ReplayResult other = RunClusterReplay(seed, shards);
       EXPECT_EQ(other.report, one.report)
           << "metrics diverged: seed " << seed << " shards " << shards;
@@ -276,6 +281,14 @@ TEST(ShardedSimTest, ClusterReplayIsIdenticalAcrossShardCounts) {
       EXPECT_EQ(other.live, one.live) << "seed " << seed;
     }
   }
+}
+
+// Shard count 0 is rejected loudly, not aliased to the default.
+TEST(ShardedSimTest, ZeroShardsIsRejected) {
+  EXPECT_EQ(ClusterOptions().shards, 1u);
+  ClusterOptions copts = ClusterOptions::FastDefaults();
+  copts.shards = 0;
+  EXPECT_DEATH({ Cluster cluster(copts); }, "shards must be >= 1");
 }
 
 // Span/trace/record ids are pure functions of (origin node, per-node

@@ -132,12 +132,27 @@ TEST(NodeTest, ChannelIsFifo) {
   for (int i = 0; i < 50; ++i) EXPECT_EQ(b.one_ways[i], i);
 }
 
+// Arms from the control context land no earlier than one lookahead out:
+// the engine may already have run the destination shard up to the edge of
+// the current window.
+TEST(NodeTest, ControlContextArmLandsOneLookaheadOut) {
+  Simulator sim(3);
+  EchoNode a(&sim);
+  std::vector<SimTime> fires;
+  a.Every(100, [&] { fires.push_back(sim.now()); }, 100);
+  a.After(0, [&] { fires.push_back(sim.now()); });
+  sim.RunFor(sim.lookahead() + 150);
+  const SimTime l = sim.lookahead();
+  EXPECT_EQ(fires, (std::vector<SimTime>{l, l, l + 100}));
+}
+
 TEST(NodeTest, PeriodicTimerFiresAndCancels) {
   Simulator sim(3);
   EchoNode a(&sim);
   int ticks = 0;
-  uint64_t timer = a.Every(100, [&] { ++ticks; }, 100);
-  sim.RunFor(1000);
+  const SimTime start = sim.lookahead();  // first control-armed fire
+  uint64_t timer = a.Every(100, [&] { ++ticks; }, start);
+  sim.RunFor(start + 950);
   EXPECT_EQ(ticks, 10);
   a.CancelTimer(timer);
   sim.RunFor(1000);
@@ -148,8 +163,9 @@ TEST(NodeTest, TimersStopOnFailure) {
   Simulator sim(3);
   EchoNode a(&sim);
   int ticks = 0;
-  a.Every(100, [&] { ++ticks; }, 100);
-  sim.RunFor(350);
+  const SimTime start = sim.lookahead();  // first control-armed fire
+  a.Every(100, [&] { ++ticks; }, start);
+  sim.RunFor(start + 250);
   EXPECT_EQ(ticks, 3);
   a.Fail();
   sim.RunFor(1000);

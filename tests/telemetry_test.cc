@@ -180,7 +180,7 @@ void RunChurn(Cluster& c) {
 // counts sum to the engines' own run-cumulative counters, regardless of
 // how many times ownership changed hands.
 TEST(LoadMonitorClusterTest, AttributionIsConservedAcrossReorgs) {
-  ClusterOptions o = MonitoredOptions(/*seed=*/4242, /*shards=*/0);
+  ClusterOptions o = MonitoredOptions(/*seed=*/4242, /*shards=*/1);
   Cluster c(o);
   RunChurn(c);
   ASSERT_NE(c.monitor(), nullptr);
@@ -307,7 +307,7 @@ BuiltinParams QuickParams(double scale = 0.15) {
 
 // The exported timeline artifact — JSON and the text report's hot-arc
 // lines — must be byte-identical across shard counts: same seed, same
-// bytes, whether the run was serial or partitioned over 1, 2 or 4 lanes.
+// bytes, whether the run was partitioned over 1, 2 or 4 shards.
 TEST(TimelineScenarioTest, TimelineJsonIsByteIdenticalAcrossShards) {
   const auto scenario = MakeBuiltin("hotspot_shift", QuickParams());
   ASSERT_TRUE(scenario.has_value());
@@ -336,7 +336,7 @@ TEST(TimelineScenarioTest, TimelineJsonIsByteIdenticalAcrossShards) {
 TEST(TimelineScenarioTest, HotspotPhasesRenderTopArcs) {
   const auto scenario = MakeBuiltin("hotspot_shift", QuickParams(0.3));
   ASSERT_TRUE(scenario.has_value());
-  ScenarioRunner runner(TimelineRunner(31337, /*shards=*/0));
+  ScenarioRunner runner(TimelineRunner(31337, /*shards=*/1));
   const RunReport report = runner.Run(*scenario);
   EXPECT_TRUE(report.ok) << report.Text();
   bool any_top_arcs = false;

@@ -59,7 +59,7 @@ struct ScenarioProbe {
 };
 
 ScenarioProbe RunScenarioProbe(double scale, uint64_t seed,
-                               bool batched_refresh, uint32_t shards = 0,
+                               bool batched_refresh, uint32_t shards = 1,
                                uint64_t trace_sample = 0,
                                bool telemetry = false, bool paged = false) {
   ScenarioProbe probe;
@@ -197,7 +197,6 @@ int main(int argc, char** argv) {
 
   ScenarioProbe probe;
   ScenarioProbe baseline;
-  ScenarioProbe shard_single;
   ScenarioProbe shard_par;
   ScenarioProbe trace_on;
   ScenarioProbe telemetry_on;
@@ -242,42 +241,35 @@ int main(int argc, char** argv) {
                                            : 0.0);
     }
     if (!skip_shards && shards >= 2) {
-      // Sharded-engine probes, same seed/scale.  The single-shard arm
-      // measures the engine's serial overhead (gated against the serial
-      // run's throughput); the N-shard arm measures parallel speedup
-      // (gated only when the host actually has >= N cores -- the engine
-      // is deterministic regardless, so audits always gate).
-      std::printf("running the sharded engine: --shards=1 ...\n");
-      shard_single =
-          RunScenarioProbe(scale, seed, /*batched_refresh=*/true, 1);
-      std::printf("  wall %.1fs (%.0f events/sec), audits %s\n",
-                  shard_single.wall_seconds,
-                  static_cast<double>(shard_single.events) /
-                      shard_single.wall_seconds,
-                  shard_single.ok ? "green" : "VIOLATED");
-      std::printf("running the sharded engine: --shards=%u ...\n", shards);
+      // The N-shard arm, same seed/scale: parallel speedup over the main
+      // (one-shard) probe, gated only when the host actually has >= N
+      // cores -- the schedule is identical regardless, so audits and
+      // replay identity always gate.
+      std::printf("running --shards=%u ...\n", shards);
       shard_par = RunScenarioProbe(scale, seed, /*batched_refresh=*/true,
                                    shards);
       std::printf("  wall %.1fs (%.0f events/sec), audits %s, "
-                  "speedup %.2fx over 1 shard (host cores: %u)\n",
+                  "speedup %.2fx over 1 shard (host cores: %u), replay %s\n",
                   shard_par.wall_seconds,
                   static_cast<double>(shard_par.events) /
                       shard_par.wall_seconds,
                   shard_par.ok ? "green" : "VIOLATED",
                   shard_par.wall_seconds > 0.0
-                      ? shard_single.wall_seconds / shard_par.wall_seconds
+                      ? probe.wall_seconds / shard_par.wall_seconds
                       : 0.0,
-                  std::thread::hardware_concurrency());
+                  std::thread::hardware_concurrency(),
+                  shard_par.events == probe.events ? "identical"
+                                                   : "DIVERGED");
     }
     if (!skip_trace) {
       // The tracing-on arm, same seed/scale, 1-in-N root sampling.  The
-      // serial probe above IS the tracing-off arm (tracing compiled in,
+      // main probe above IS the tracing-off arm (tracing compiled in,
       // disabled), so the pair measures what turning the flight recorder
       // on costs — and its event count doubles as a replay-identity check.
       std::printf("running the tracing-on arm (sampled 1-in-%llu)...\n",
                   static_cast<unsigned long long>(trace_sample));
       trace_on = RunScenarioProbe(scale, seed, /*batched_refresh=*/true,
-                                  /*shards=*/0, trace_sample);
+                                  /*shards=*/1, trace_sample);
       std::printf("  wall %.1fs (off: %.1fs, overhead %.1f%%), %llu trace "
                   "records, audits %s, replay %s\n",
                   trace_on.wall_seconds, probe.wall_seconds,
@@ -291,14 +283,14 @@ int main(int argc, char** argv) {
     }
     if (!skip_telemetry) {
       // The telemetry-on arm, same seed/scale: load monitor rings filling
-      // plus the deterministic health probes armed fatal.  The serial probe
+      // plus the deterministic health probes armed fatal.  The main probe
       // above IS the telemetry-off arm (hooks compiled in, sink null), so
       // the pair prices the enabled monitor, the event count doubles as a
       // replay-identity check, and a clean run proves the probes stay quiet
       // on healthy paper-scale churn.
       std::printf("running the telemetry-on arm (health probes fatal)...\n");
       telemetry_on = RunScenarioProbe(scale, seed, /*batched_refresh=*/true,
-                                      /*shards=*/0, /*trace_sample=*/0,
+                                      /*shards=*/1, /*trace_sample=*/0,
                                       /*telemetry=*/true);
       std::printf("  wall %.1fs (off: %.1fs, overhead %.1f%%), audits %s, "
                   "replay %s\n",
@@ -313,14 +305,14 @@ int main(int argc, char** argv) {
     }
     if (!skip_store) {
       // The paged-store arm, same seed/scale, page_io_latency=0.  The
-      // serial probe above IS the in-memory arm (same facade, map engine),
+      // main probe above IS the in-memory arm (same facade, map engine),
       // so the pair prices the paged engine (page faults, tree descents,
       // pool bookkeeping) against the map — and at zero latency the event
       // schedule must be bit-identical, which doubles as the strongest
       // whole-system correctness check the B+-tree can get.
       std::printf("running the paged-store arm (page_io_latency=0)...\n");
       store_on = RunScenarioProbe(scale, seed, /*batched_refresh=*/true,
-                                  /*shards=*/0, /*trace_sample=*/0,
+                                  /*shards=*/1, /*trace_sample=*/0,
                                   /*telemetry=*/false, /*paged=*/true);
       const uint64_t accesses = store_on.store_hits + store_on.store_faults;
       std::printf("  wall %.1fs (map: %.1fs, overhead %.1f%%), hit rate "
@@ -469,19 +461,11 @@ int main(int argc, char** argv) {
                    : 0.0) << "\n";
       json << "    },\n";
     }
-    if (shard_single.ran && shard_par.ran) {
+    if (shard_par.ran) {
       json << "    \"shards\": {\n";
       json << "      \"host_cores\": "
            << std::thread::hardware_concurrency() << ",\n";
       json << "      \"n\": " << shards << ",\n";
-      json << "      \"single_wall_seconds\": "
-           << shard_single.wall_seconds << ",\n";
-      json << "      \"single_events_per_sec\": "
-           << static_cast<uint64_t>(
-                  static_cast<double>(shard_single.events) /
-                  shard_single.wall_seconds) << ",\n";
-      json << "      \"single_audits_ok\": "
-           << (shard_single.ok ? "true" : "false") << ",\n";
       json << "      \"parallel_wall_seconds\": "
            << shard_par.wall_seconds << ",\n";
       json << "      \"parallel_events_per_sec\": "
@@ -489,9 +473,14 @@ int main(int argc, char** argv) {
                                     shard_par.wall_seconds) << ",\n";
       json << "      \"parallel_audits_ok\": "
            << (shard_par.ok ? "true" : "false") << ",\n";
+      json << "      \"replay_identical\": "
+           << (shard_par.events == probe.events &&
+               shard_par.messages == probe.messages
+                   ? "true"
+                   : "false") << ",\n";
       json << "      \"speedup\": "
            << (shard_par.wall_seconds > 0.0
-                   ? shard_single.wall_seconds / shard_par.wall_seconds
+                   ? probe.wall_seconds / shard_par.wall_seconds
                    : 0.0) << "\n";
       json << "    },\n";
     }
@@ -509,7 +498,6 @@ int main(int argc, char** argv) {
   std::printf("report written to %s\n", out_path.c_str());
   const bool violations =
       (probe.ran && !probe.ok) || (baseline.ran && !baseline.ok) ||
-      (shard_single.ran && !shard_single.ok) ||
       (shard_par.ran && !shard_par.ok) || (trace_on.ran && !trace_on.ok) ||
       (telemetry_on.ran && !telemetry_on.ok) ||
       (store_on.ran && !store_on.ok);

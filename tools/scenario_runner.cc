@@ -44,8 +44,10 @@ void PrintUsage() {
       "  --seed=N        cluster seed (default 42)\n"
       "  --scale=F       duration/wave scale factor (default 1.0)\n"
       "  --paper         paper-scale cluster timers (Section 6.1 defaults)\n"
-      "  --shards=N      run the simulator on N worker shards (conservative\n"
-      "                  lookahead; results are bit-identical for any N)\n"
+      "  --shards=N      partition the simulator across N >= 1 shards\n"
+      "                  (default 1, run inline; N > 1 adds worker threads\n"
+      "                  under conservative lookahead); results are\n"
+      "                  bit-identical for any N\n"
       "  --store=BACKEND item-store backend: map (default, in-memory) or\n"
       "                  paged (page arena + bounded buffer pool + per-arc\n"
       "                  B+-tree); at --page-io-latency=0 both replay\n"
@@ -139,7 +141,7 @@ int main(int argc, char** argv) {
   double telemetry_window_s = 0.0;
   double health_check_period_s = 0.0;
   size_t timeline_top_k = 5;
-  uint32_t shards = 0;
+  uint32_t shards = 1;
   bool health = false;
   bool health_fatal = false;
   RunnerOptions::SloBounds slo;
@@ -181,6 +183,11 @@ int main(int argc, char** argv) {
       min_store_hit_rate = std::strtod(value.c_str(), nullptr);
     } else if (ParseFlag(argv[i], "--shards", &value)) {
       shards = static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
+      if (shards == 0) {
+        std::fprintf(stderr, "--shards must be >= 1 (got %s)\n",
+                     value.c_str());
+        return 2;
+      }
     } else if (ParseFlag(argv[i], "--csv", &value)) {
       csv_path = value;
     } else if (ParseFlag(argv[i], "--trace", &value)) {
