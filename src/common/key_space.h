@@ -87,6 +87,29 @@ class RingRange {
 // for ordering peers on the ring.  When a == c the arc is the full circle.
 bool InArc(Key a, Key b, Key c);
 
+// Visits the entries of an ordered map keyed by Key whose keys lie in `arc`,
+// in ascending key order — exactly the entries, and the order, of a full
+// walk filtered by arc.Contains — but touching only the in-arc entries: one
+// bounded segment, or two for an arc that wraps past the top of the domain
+// (keys <= hi first, then keys > lo).  `fn(entry)` returns false to stop;
+// the walk returns false iff it was stopped.
+template <typename OrderedMap, typename Fn>
+bool ForEachInArc(OrderedMap& map, const RingRange& arc, Fn&& fn) {
+  auto visit = [&fn](auto first, auto last) {
+    for (; first != last; ++first) {
+      if (!fn(*first)) return false;
+    }
+    return true;
+  };
+  if (arc.full()) return visit(map.begin(), map.end());
+  if (arc.IsEmpty()) return true;
+  if (arc.lo() < arc.hi()) {
+    return visit(map.upper_bound(arc.lo()), map.upper_bound(arc.hi()));
+  }
+  return visit(map.begin(), map.upper_bound(arc.hi())) &&
+         visit(map.upper_bound(arc.lo()), map.end());
+}
+
 // Merges overlapping/adjacent closed intervals and reports whether their
 // union equals [target.lo, target.hi].  Used by the range-query coverage
 // tracker (scanRange correctness, Definition 6 condition 4).

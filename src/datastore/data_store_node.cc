@@ -55,7 +55,7 @@ void DataStoreNode::Activate(RingRange range, std::vector<Item> items) {
   if (options_.observer != nullptr) {
     options_.observer->OnRangeChange(id(), range_, /*active=*/true);
   }
-  store_->Clear();
+  ClearStore();
   // Deletion memory is per incarnation: answering "recently deleted" for a
   // key this store only deleted in a previous life would wrongly ack a
   // fresh delete as idempotent.
@@ -88,12 +88,22 @@ void DataStoreNode::Deactivate() {
     }
     for (Key skv : keys) options_.observer->OnDrop(id(), skv);
   }
-  store_->Clear();
+  ClearStore();
   active_ = false;
   range_ = RingRange::Empty();
   if (options_.observer != nullptr) {
     options_.observer->OnRangeChange(id(), range_, /*active=*/false);
   }
+}
+
+void DataStoreNode::ClearStore() {
+  store_->Clear();
+  if (replication_ != nullptr) replication_->OnItemsCleared();
+}
+
+void DataStoreNode::set_replication(ReplicationHooks* hooks) {
+  PEPPER_CHECK(store_->size() == 0);
+  replication_ = hooks;
 }
 
 void DataStoreNode::set_range(const RingRange& range) {
@@ -109,6 +119,9 @@ void DataStoreNode::OnPredChanged() { takeover_->OnPredChanged(); }
 
 void DataStoreNode::StoreItem(const Item& item) {
   store_->Put(item, ++mutation_epoch_);
+  if (replication_ != nullptr) {
+    replication_->OnItemStored(item, mutation_epoch_);
+  }
   if (options_.observer != nullptr) {
     options_.observer->OnStore(id(), item.skv);
   }
@@ -119,6 +132,7 @@ void DataStoreNode::DropItem(Key skv) {
     // A drop advances the group version too: replica manifests must
     // diverge from any copy still holding the item.
     ++mutation_epoch_;
+    if (replication_ != nullptr) replication_->OnItemDropped(skv);
   }
   if (options_.observer != nullptr) {
     options_.observer->OnDrop(id(), skv);

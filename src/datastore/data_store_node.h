@@ -108,6 +108,12 @@ class ReplicationHooks {
   // after a predecessor failure (the Figure 9 takeover).
   virtual std::vector<Item> CollectReplicasIn(const RingRange& arc) = 0;
 
+  // True iff some held replica key in `arc` satisfies `pred`, visiting keys
+  // in CollectReplicasIn's order and stopping at the first hit; copies no
+  // items.  The maintenance tick's "is anything in our range missing?".
+  virtual bool AnyReplicaIn(const RingRange& arc,
+                            const std::function<bool(Key)>& pred) = 0;
+
   // The replica-group owners (peer id, ring value) this peer knows of whose
   // values fall in `arc` — i.e. our recent predecessors.  Used to verify an
   // arc is really dead before extending our range over it.
@@ -149,6 +155,19 @@ class ReplicationHooks {
   // Items changed hands (redistribute, takeover, revival): push replicas
   // NOW — a failure inside a debounce window must not orphan moved items.
   virtual void PushImmediate() = 0;
+
+  // The store mutation feed.  From set_replication on, the facade reports
+  // every change to its item store, synchronously and in order, right
+  // after it happens: OnItemStored for each Put (a new key or an
+  // overwrite; `epoch` is the mutation epoch the item was stamped with),
+  // OnItemDropped for each Erase that removed a key, OnItemsCleared when
+  // the whole store is emptied (activation, deactivation).  Replaying the
+  // feed from an empty set reproduces the store's (skv, epoch, size)
+  // contents exactly, which lets the owner keep its manifest and delta
+  // bookkeeping without ever reading the store back.
+  virtual void OnItemStored(const Item& item, uint64_t epoch) = 0;
+  virtual void OnItemDropped(Key skv) = 0;
+  virtual void OnItemsCleared() = 0;
 };
 
 struct DataStoreOptions {
@@ -244,8 +263,9 @@ class DataStoreNode : public sim::ProtocolComponent {
   // Visits every stored (item, epoch) in ascending key order.
   void ForEachItem(
       const std::function<void(const Item&, uint64_t)>& fn) const;
-  // Materialized copies, for callers that need a container (manifest
-  // builds, test assertions).  O(n); prefer ForEachItem on hot paths.
+  // Materialized copies, for callers that need a container (test
+  // assertions, from-scratch manifest references).  O(n); no protocol path
+  // uses them — replication learns the contents from the mutation feed.
   std::map<Key, Item> ItemsSnapshot() const;
   std::map<Key, uint64_t> ItemEpochsSnapshot() const;
 
@@ -286,7 +306,10 @@ class DataStoreNode : public sim::ProtocolComponent {
   // Triggers the overflow/underflow check now (also runs periodically).
   void MaybeRebalance();
 
-  void set_replication(ReplicationHooks* hooks) { replication_ = hooks; }
+  // Attaches the replication layer and its store mutation feed; must run
+  // while the store is still empty (before the first activation), so the
+  // feed covers every item the store ever holds.
+  void set_replication(ReplicationHooks* hooks);
 
   // Re-homes an item this peer no longer owns (range shrink discovered with
   // items still on board).  Wired by the stack to the index's routed insert,
@@ -360,6 +383,8 @@ class DataStoreNode : public sim::ProtocolComponent {
 
  private:
   void Activate(RingRange range, std::vector<Item> items);
+  // Empties the store and reports it through the mutation feed.
+  void ClearStore();
   void HandleInsert(const sim::Message& msg, const DsInsertRequest& req);
   void HandleDelete(const sim::Message& msg, const DsDeleteRequest& req);
   // Acks a mutation once it is replicated (PEPPER) or immediately (naive).

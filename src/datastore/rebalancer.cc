@@ -65,13 +65,8 @@ void Rebalancer::MaybeRebalance() {
 void Rebalancer::MaybeStartReviveSweep() {
   ReplicationHooks* replication = ds_->replication();
   if (replication == nullptr || ds_->lock().write_held()) return;
-  bool missing = false;
-  for (const Item& it : replication->CollectReplicasIn(ds_->range())) {
-    if (!ds_->HasItem(it.skv)) {
-      missing = true;
-      break;
-    }
-  }
+  const bool missing = replication->AnyReplicaIn(
+      ds_->range(), [this](Key skv) { return !ds_->HasItem(skv); });
   if (!missing) return;
   replication->StartReviveSweep(ds_->range(), [this](const Item& it) {
     if (!ds_->active() || ds_->lock().write_held() ||

@@ -12,15 +12,18 @@
 namespace pepper::replication {
 
 // Compact identity of one replica group's contents: the owner's mutation
-// epoch when it was built, the item count, and an order-sensitive hash over
-// the (skv, epoch) pairs in key order.  The facade stamps a fresh epoch on
-// every item mutation — including a re-insert of an existing key with new
-// data — so two parties whose manifests match hold byte-identical item
-// sets, and a manifest comparison replaces shipping the snapshot.
+// epoch when it was built, the item count, and a set hash over the
+// (skv, epoch) pairs — the wrapping sum of one ManifestShare per pair.  The
+// facade stamps a fresh epoch on every item mutation — including a re-insert
+// of an existing key with new data — so two parties whose manifests match
+// hold byte-identical item sets, and a manifest comparison replaces shipping
+// the snapshot.  The sum does not depend on order, so owner and holder keep
+// it current per mutation (add the new pair's share, subtract the old one's)
+// instead of rebuilding it over the whole group.
 struct ReplicaManifest {
   uint64_t version = 0;  // owner mutation epoch at build time
   uint64_t count = 0;    // items in the group
-  uint64_t hash = 0;     // FNV-1a over (skv, epoch) pairs in key order
+  uint64_t hash = 0;     // sum of ManifestShare(skv, epoch) over the group
 
   friend bool operator==(const ReplicaManifest& a, const ReplicaManifest& b) {
     return a.version == b.version && a.count == b.count && a.hash == b.hash;
@@ -32,8 +35,21 @@ struct ReplicaManifest {
   std::string ToString() const;
 };
 
+// One (skv, epoch) pair's contribution to ReplicaManifest::hash: a strong
+// 64-bit mix (splitmix64 finalizer) of both fields, so a dropped or extra
+// item, a bumped epoch, or two keys trading epochs all move the sum.
+inline uint64_t ManifestShare(Key skv, uint64_t epoch) {
+  auto mix = [](uint64_t z) {
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  };
+  return mix(skv ^ mix(epoch + 0x9e3779b97f4a7c15ull));
+}
+
 // Builds the manifest of an epoch-stamped item set as of owner mutation
-// epoch `version`.
+// epoch `version` from scratch — the reference the incrementally kept
+// manifests (the owner's book, each held ReplicaGroup) must always equal.
 ReplicaManifest BuildManifest(const std::map<Key, uint64_t>& epochs,
                               uint64_t version);
 

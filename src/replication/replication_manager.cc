@@ -9,6 +9,41 @@
 
 namespace pepper::replication {
 
+// --- ReplicaGroup ------------------------------------------------------------
+
+void ReplicaGroup::Assign(const std::vector<datastore::Item>& snapshot,
+                          const std::vector<uint64_t>& snapshot_epochs) {
+  items.clear();
+  epochs.clear();
+  hash = 0;
+  for (size_t i = 0; i < snapshot.size(); ++i) {
+    const Key skv = snapshot[i].skv;
+    items.emplace_hint(items.end(), skv, snapshot[i]);
+    epochs.emplace_hint(epochs.end(), skv, snapshot_epochs[i]);
+    hash += ManifestShare(skv, snapshot_epochs[i]);
+  }
+}
+
+void ReplicaGroup::Upsert(const datastore::Item& item, uint64_t epoch) {
+  auto [it, inserted] = epochs.try_emplace(item.skv, epoch);
+  if (!inserted) {
+    hash -= ManifestShare(item.skv, it->second);
+    it->second = epoch;
+  }
+  hash += ManifestShare(item.skv, epoch);
+  items[item.skv] = item;
+}
+
+void ReplicaGroup::Erase(Key skv) {
+  auto it = epochs.find(skv);
+  if (it == epochs.end()) return;
+  hash -= ManifestShare(skv, it->second);
+  epochs.erase(it);
+  items.erase(skv);
+}
+
+// --- ReplicationManager ------------------------------------------------------
+
 ReplicationManager::ReplicationManager(ring::RingNode* ring,
                                        datastore::DataStoreNode* ds,
                                        ReplicationOptions options)
@@ -124,14 +159,42 @@ void ReplicationManager::RefreshTick() {
   PushNow();
 }
 
-const ReplicaManifest& ReplicationManager::OwnManifest() {
-  if (!own_manifest_valid_ ||
-      own_manifest_.version != ds_->mutation_epoch()) {
-    own_manifest_ =
-        BuildManifest(ds_->ItemEpochsSnapshot(), ds_->mutation_epoch());
-    own_manifest_valid_ = true;
+// --- Owner book: the store mutation feed -------------------------------------
+// A key's first mutation after a push records whether that push held it —
+// i.e. whether the book had it just before, since an undirtied key is still
+// exactly as last pushed.  Later mutations of the key leave the flag alone.
+
+void ReplicationManager::OnItemStored(const datastore::Item& item,
+                                      uint64_t epoch) {
+  auto [it, fresh] = book_.try_emplace(item.skv);
+  dirty_.emplace(item.skv, !fresh);
+  if (!fresh) {
+    book_hash_ -= ManifestShare(item.skv, it->second.epoch);
+    book_bytes_ -= it->second.wire_bytes;
   }
-  return own_manifest_;
+  it->second = BookEntry{epoch, WireBytes(item)};
+  book_hash_ += ManifestShare(item.skv, epoch);
+  book_bytes_ += it->second.wire_bytes;
+}
+
+void ReplicationManager::OnItemDropped(Key skv) {
+  auto it = book_.find(skv);
+  if (it == book_.end()) return;
+  dirty_.emplace(skv, true);
+  book_hash_ -= ManifestShare(skv, it->second.epoch);
+  book_bytes_ -= it->second.wire_bytes;
+  book_.erase(it);
+}
+
+void ReplicationManager::OnItemsCleared() {
+  for (const auto& kv : book_) dirty_.emplace(kv.first, true);
+  book_.clear();
+  book_hash_ = 0;
+  book_bytes_ = 0;
+}
+
+ReplicaManifest ReplicationManager::OwnManifest() const {
+  return ReplicaManifest{ds_->mutation_epoch(), book_.size(), book_hash_};
 }
 
 std::shared_ptr<ReplicaPushMsg> ReplicationManager::MakeSnapshot(
@@ -207,41 +270,36 @@ void ReplicationManager::PushNow(std::function<void(bool)> settled) {
     return;
   }
   const uint64_t version = ds_->mutation_epoch();
-  const ReplicaManifest manifest = OwnManifest();
-  const auto current = ds_->ItemEpochsSnapshot();
   const int hops = static_cast<int>(options_.replication_factor) - 1;
-
-  size_t snapshot_cost = kManifestWireBytes;
-  ds_->ForEachItem([&snapshot_cost](const datastore::Item& item, uint64_t) {
-    snapshot_cost += WireBytes(item);
-  });
+  const size_t snapshot_cost = kManifestWireBytes + book_bytes_;
 
   bool sent_delta = false;
   if (options_.delta_pushes && chain_warm_) {
+    // The delta is the dirty set: every key mutated since the last push,
+    // and nothing else (a fresh epoch per mutation means a dirty key still
+    // booked always differs from what that push carried).
     auto delta = std::make_shared<ReplicaDeltaMsg>();
     delta->owner = id();
     delta->owner_val = ring_->val();
     delta->from_version = last_push_version_;
-    delta->manifest = manifest;
+    delta->manifest = OwnManifest();
     delta->hops_left = hops;
-    for (const auto& kv : current) {
-      auto base = last_push_epochs_.find(kv.first);
-      if (base == last_push_epochs_.end() || base->second != kv.second) {
-        datastore::Item item;
-        if (ds_->FindItem(kv.first, &item)) {
-          delta->upserts.push_back(std::move(item));
-          delta->upsert_epochs.push_back(kv.second);
+    size_t delta_cost = kManifestWireBytes;
+    for (const auto& [skv, pushed] : dirty_) {
+      auto booked = book_.find(skv);
+      if (booked == book_.end()) {
+        if (pushed) {
+          delta->deletes.push_back(skv);
+          delta_cost += kDeleteWireBytes;
         }
+        continue;
       }
+      datastore::Item item;
+      if (!ds_->FindItem(skv, &item)) continue;  // the book mirrors the store
+      delta->upserts.push_back(std::move(item));
+      delta->upsert_epochs.push_back(booked->second.epoch);
+      delta_cost += booked->second.wire_bytes;
     }
-    for (const auto& kv : last_push_epochs_) {
-      if (current.find(kv.first) == current.end()) {
-        delta->deletes.push_back(kv.first);
-      }
-    }
-    size_t delta_cost =
-        kManifestWireBytes + delta->deletes.size() * kDeleteWireBytes;
-    for (const auto& it : delta->upserts) delta_cost += WireBytes(it);
     if (delta_cost < snapshot_cost) {
       SendPushHop(succ->id, delta, std::move(settled));
       settled = nullptr;
@@ -260,7 +318,7 @@ void ReplicationManager::PushNow(std::function<void(bool)> settled) {
     Inc(m_push_bytes_, snapshot_cost);
   }
   Inc(m_pushes_);
-  last_push_epochs_ = current;
+  dirty_.clear();
   last_push_version_ = version;
   chain_warm_ = true;
 }
@@ -307,12 +365,7 @@ void ReplicationManager::ApplySnapshot(const ReplicaPushMsg& push) {
     return;
   }
   group.owner_val = push.owner_val;
-  group.items.clear();
-  group.epochs.clear();
-  for (size_t i = 0; i < push.items.size(); ++i) {
-    group.items[push.items[i].skv] = push.items[i];
-    group.epochs[push.items[i].skv] = push.epochs[i];
-  }
+  group.Assign(push.items, push.epochs);
   group.version = push.manifest.version;
   group.refreshed_at = now();
   group.ttl_strikes = 0;
@@ -360,20 +413,16 @@ void ReplicationManager::HandleDelta(const sim::Message& msg,
       Inc(m_stale_deltas_);
     } else if (group.version == delta.from_version) {
       for (size_t i = 0; i < delta.upserts.size(); ++i) {
-        group.items[delta.upserts[i].skv] = delta.upserts[i];
-        group.epochs[delta.upserts[i].skv] = delta.upsert_epochs[i];
+        group.Upsert(delta.upserts[i], delta.upsert_epochs[i]);
       }
-      for (Key k : delta.deletes) {
-        group.items.erase(k);
-        group.epochs.erase(k);
-      }
+      for (Key k : delta.deletes) group.Erase(k);
       group.version = delta.manifest.version;
       group.owner_val = delta.owner_val;
       group.refreshed_at = now();
       group.ttl_strikes = 0;
       // End-to-end check: applying the exact diff must land on the owner's
       // manifest; anything else is divergence and gets the snapshot path.
-      if (BuildManifest(group.epochs, group.version) != delta.manifest) {
+      if (group.manifest() != delta.manifest) {
         need_full = true;
         Inc(m_manifest_mismatches_);
       } else {
@@ -521,9 +570,7 @@ void ReplicationManager::HandleProbe(const sim::Message& msg,
     // Deliberately no refreshed_at bump: only pushes keep a group alive.
     // If this holder was displaced from the owner's chain, its copy must
     // still age out even while probes find it current.
-    const ReplicaGroup& group = it->second;
-    reply->divergent =
-        BuildManifest(group.epochs, group.version) != probe.manifest;
+    reply->divergent = it->second.manifest() != probe.manifest;
   }
   Reply(msg, reply);
 }
@@ -549,14 +596,19 @@ void ReplicationManager::ReplicateExtraHop(
 
   std::vector<std::shared_ptr<ReplicaPushMsg>> msgs;
   for (const auto& kv : groups_) {
+    const ReplicaGroup& group = kv.second;
     auto m = std::make_shared<ReplicaPushMsg>();
     m->owner = kv.first;
-    m->owner_val = kv.second.owner_val;
-    for (const auto& item_kv : kv.second.items) {
+    m->owner_val = group.owner_val;
+    m->items.reserve(group.items.size());
+    m->epochs.reserve(group.epochs.size());
+    // `items` and `epochs` share their key set: walk them in lockstep.
+    auto epoch_it = group.epochs.begin();
+    for (const auto& item_kv : group.items) {
       m->items.push_back(item_kv.second);
-      m->epochs.push_back(kv.second.epochs.at(item_kv.first));
+      m->epochs.push_back((epoch_it++)->second);
     }
-    m->manifest = BuildManifest(kv.second.epochs, kv.second.version);
+    m->manifest = group.manifest();
     m->hops_left = 0;
     msgs.push_back(std::move(m));
   }
@@ -589,11 +641,23 @@ std::vector<datastore::Item> ReplicationManager::CollectReplicasIn(
     const RingRange& arc) {
   std::vector<datastore::Item> out;
   for (const auto& kv : groups_) {
-    for (const auto& item_kv : kv.second.items) {
-      if (arc.Contains(item_kv.first)) out.push_back(item_kv.second);
-    }
+    ForEachInArc(kv.second.items, arc, [&out](const auto& item_kv) {
+      out.push_back(item_kv.second);
+      return true;
+    });
   }
   return out;
+}
+
+bool ReplicationManager::AnyReplicaIn(const RingRange& arc,
+                                      const std::function<bool(Key)>& pred) {
+  for (const auto& kv : groups_) {
+    const bool hit = !ForEachInArc(
+        kv.second.items, arc,
+        [&pred](const auto& item_kv) { return !pred(item_kv.first); });
+    if (hit) return true;
+  }
+  return false;
 }
 
 std::vector<std::pair<sim::NodeId, Key>> ReplicationManager::GroupOwnersIn(
@@ -620,12 +684,9 @@ void ReplicationManager::StartReviveSweep(
   // Owners whose groups hold something inside the swept range.
   auto candidates = std::make_shared<std::vector<sim::NodeId>>();
   for (const auto& kv : groups_) {
-    for (const auto& item_kv : kv.second.items) {
-      if (range.Contains(item_kv.first)) {
-        candidates->push_back(kv.first);
-        break;
-      }
-    }
+    const bool in_range = !ForEachInArc(kv.second.items, range,
+                                        [](const auto&) { return false; });
+    if (in_range) candidates->push_back(kv.first);
   }
   if (candidates->empty()) return;
   sweeping_ = true;
@@ -660,9 +721,11 @@ void ReplicationManager::StartReviveSweep(
           // Owner is dead: its group is the legitimate revival source.
           auto it = groups_.find(owner);
           if (it != groups_.end()) {
-            for (const auto& item_kv : it->second.items) {
-              if (range.Contains(item_kv.first)) promote(item_kv.second);
-            }
+            ForEachInArc(it->second.items, range,
+                         [&promote](const auto& item_kv) {
+                           promote(item_kv.second);
+                           return true;
+                         });
           }
           (*step)();
         });

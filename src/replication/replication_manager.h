@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -60,7 +61,9 @@ struct ReplicationOptions {
 };
 
 // A snapshot of one owner's items held as replicas (the box above each peer
-// in Figure 7), together with the owner-side epochs that version it.
+// in Figure 7), together with the owner-side epochs that version it.  The
+// item maps change only through Assign/Upsert/Erase, which keep `hash`
+// current, so the group's manifest is O(1) to produce.
 struct ReplicaGroup {
   Key owner_val = 0;
   std::map<Key, datastore::Item> items;
@@ -69,12 +72,25 @@ struct ReplicaGroup {
   // Owner mutation epoch this copy reflects (the manifest version acked
   // back to the owner).
   uint64_t version = 0;
+  // Running manifest hash: the ManifestShare sum over `epochs`.
+  uint64_t hash = 0;
   sim::SimTime refreshed_at = 0;
   // TTL expirations survived because the owner was unreachable (presumed
   // dead).  A dead owner's group may be the arc's LAST copy — it is
   // retained for revival, no matter how slowly the ring repairs, until the
   // strike budget runs out; any push from the owner resets the count.
   int ttl_strikes = 0;
+
+  // Equals BuildManifest(epochs, version), without the walk.
+  ReplicaManifest manifest() const {
+    return ReplicaManifest{version, epochs.size(), hash};
+  }
+  // Replaces the contents with a snapshot: parallel vectors of distinct
+  // items in ascending key order, so every insert is end-hinted (O(n)).
+  void Assign(const std::vector<datastore::Item>& snapshot,
+              const std::vector<uint64_t>& snapshot_epochs);
+  void Upsert(const datastore::Item& item, uint64_t epoch);
+  void Erase(Key skv);
 };
 
 // Full-snapshot replica push: `owner`'s current item set, forwarded
@@ -165,6 +181,8 @@ class ReplicationManager : public sim::ProtocolComponent,
   void ReplicateExtraHop(std::function<void(const Status&)> done) override;
   std::vector<datastore::Item> CollectReplicasIn(
       const RingRange& arc) override;
+  bool AnyReplicaIn(const RingRange& arc,
+                    const std::function<bool(Key)>& pred) override;
   std::vector<std::pair<sim::NodeId, Key>> GroupOwnersIn(
       const RingRange& arc) override;
   void StartReviveSweep(const RingRange& range,
@@ -177,6 +195,9 @@ class ReplicationManager : public sim::ProtocolComponent,
   void PushDurable(std::function<void(bool)> settled) override {
     PushNow(std::move(settled));
   }
+  void OnItemStored(const datastore::Item& item, uint64_t epoch) override;
+  void OnItemDropped(Key skv) override;
+  void OnItemsCleared() override;
 
   // Pushes this peer's items to its successors now (delta when the chain is
   // warm, snapshot otherwise).  `settled`, if given, fires once the first
@@ -206,6 +227,11 @@ class ReplicationManager : public sim::ProtocolComponent,
   }
   // True if a replica of `skv` is held here for any owner.
   bool HoldsReplica(Key skv) const;
+
+  // The manifest every push of our own items ships, read off the owner
+  // book: equals BuildManifest(ds->ItemEpochsSnapshot(),
+  // ds->mutation_epoch()) at all times, in O(1).
+  ReplicaManifest OwnManifest() const;
 
   const ReplicationOptions& options() const { return options_; }
   ring::RingNode* ring() { return ring_; }
@@ -248,7 +274,6 @@ class ReplicationManager : public sim::ProtocolComponent,
   // `counter` is the interned repair counter to charge.
   void RepairHolder(sim::NodeId holder, Counters::Id counter);
   std::shared_ptr<ReplicaPushMsg> MakeSnapshot(int hops_left, bool direct);
-  const ReplicaManifest& OwnManifest();
   void RefreshTick();
   void AntiEntropyTick();
   sim::SimTime anti_entropy_period() const;
@@ -266,12 +291,22 @@ class ReplicationManager : public sim::ProtocolComponent,
   // Owner-side book of holders that acked a push, keyed by peer id: the
   // delta base, the quiet-holder scan, and the repair-in-flight guard.
   std::map<sim::NodeId, HolderState> holders_;
-  // Epochs as of the last push (the delta base snapshot).
-  std::map<Key, uint64_t> last_push_epochs_;
+  // Owner book: our own items as the store's mutation feed reports them,
+  // with the running manifest hash and snapshot byte sum over them, so no
+  // push, probe or manifest ever walks the store to price or identify it.
+  struct BookEntry {
+    uint64_t epoch = 0;
+    size_t wire_bytes = 0;  // WireBytes(item)
+  };
+  std::unordered_map<Key, BookEntry> book_;
+  uint64_t book_hash_ = 0;   // ManifestShare sum over book_
+  size_t book_bytes_ = 0;    // WireBytes sum over book_
+  // Keys mutated since the last push, each mapped to whether that push held
+  // it: the next delta is exactly these keys (upserts if booked now,
+  // deletes if not but previously pushed), in key order.
+  std::map<Key, bool> dirty_;
   uint64_t last_push_version_ = 0;
   bool chain_warm_ = false;  // a push went out since the last chain reset
-  ReplicaManifest own_manifest_;
-  bool own_manifest_valid_ = false;
   size_t outstanding_pushes_ = 0;
   bool push_scheduled_ = false;
   bool sweeping_ = false;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
+#include <vector>
 
 namespace pepper {
 namespace {
@@ -100,6 +102,59 @@ TEST(InArcTest, Basic) {
   EXPECT_FALSE(InArc(20, 15, 10));
   // Full circle
   EXPECT_TRUE(InArc(7, 1000, 7));
+}
+
+// ForEachInArc visits exactly the keys a Contains-filtered full walk keeps,
+// in the same ascending order, for every arc shape: empty, full, plain,
+// wrapping, and arcs whose bounds sit on stored keys or the domain ends.
+TEST(ForEachInArcTest, MatchesContainsFilter) {
+  const std::map<Key, int> stored{{0, 0},   {5, 1},    {10, 2},
+                                  {20, 3},  {30, 4},   {kMax - 1, 5},
+                                  {kMax, 6}};
+  const std::vector<RingRange> arcs = {
+      RingRange::Empty(),
+      RingRange::OpenClosed(7, 7),        // empty, anchored off key
+      RingRange::OpenClosed(10, 10),      // empty, anchored on a key
+      RingRange::Full(10),
+      RingRange::Full(kMax),
+      RingRange::OpenClosed(6, 19),       // plain, bounds between keys
+      RingRange::OpenClosed(5, 20),       // plain, bounds on keys
+      RingRange::OpenClosed(0, kMax),     // plain, the whole domain but 0
+      RingRange::OpenClosed(30, kMax),    // plain, up to the top
+      RingRange::OpenClosed(21, 29),      // plain, no key inside
+      RingRange::OpenClosed(25, 3),       // wraps, bounds between keys
+      RingRange::OpenClosed(20, 5),       // wraps, bounds on keys
+      RingRange::OpenClosed(kMax, 0),     // wraps, just key 0
+      RingRange::OpenClosed(kMax - 1, 10),
+      RingRange::OpenClosed(kMax, 30),    // wraps, lo at the top
+      RingRange::OpenClosed(30, 0),       // wraps, hi at the bottom
+  };
+  for (const RingRange& arc : arcs) {
+    std::vector<Key> expected;
+    for (const auto& kv : stored) {
+      if (arc.Contains(kv.first)) expected.push_back(kv.first);
+    }
+    std::vector<Key> walked;
+    EXPECT_TRUE(ForEachInArc(stored, arc, [&walked](const auto& kv) {
+      walked.push_back(kv.first);
+      return true;
+    }));
+    EXPECT_EQ(walked, expected) << arc.ToString();
+
+    // Stopping at the first visit returns false iff the arc holds a key.
+    std::vector<Key> first;
+    const bool finished = ForEachInArc(stored, arc, [&first](const auto& kv) {
+      first.push_back(kv.first);
+      return false;
+    });
+    EXPECT_EQ(finished, expected.empty()) << arc.ToString();
+    if (!expected.empty()) {
+      EXPECT_EQ(first, std::vector<Key>{expected.front()}) << arc.ToString();
+    }
+
+    const std::map<Key, int> none;
+    EXPECT_TRUE(ForEachInArc(none, arc, [](const auto&) { return false; }));
+  }
 }
 
 TEST(SpanCoverageTest, CompletesWithAdjacentPieces) {

@@ -15,8 +15,10 @@ namespace pepper::workload {
 namespace {
 
 using replication::BuildManifest;
+using replication::kManifestWireBytes;
 using replication::ReplicaGroup;
 using replication::ReplicaManifest;
+using replication::WireBytes;
 
 constexpr Key kKeySpan = 1000000;
 
@@ -44,6 +46,80 @@ TEST(ReplicaManifestTest, IdentityAndSensitivity) {
   std::map<Key, uint64_t> extra = epochs;
   extra[40] = 9;
   EXPECT_NE(a.hash, BuildManifest(extra, 5).hash);
+}
+
+// The set hash moves under every kind of divergence a holder can have —
+// including ones that keep the count (a bumped epoch, two keys trading
+// epochs, one key replaced by another with the same epoch).
+TEST(ReplicaManifestTest, SetHashDetectsEveryDivergence) {
+  const std::map<Key, uint64_t> base{{10, 1}, {20, 2}, {30, 5}, {40, 7}};
+  const uint64_t h = BuildManifest(base, 9).hash;
+
+  std::map<Key, uint64_t> dropped = base;
+  dropped.erase(20);
+  EXPECT_NE(BuildManifest(dropped, 9).hash, h);
+
+  std::map<Key, uint64_t> extra = base;
+  extra[25] = 8;
+  EXPECT_NE(BuildManifest(extra, 9).hash, h);
+
+  std::map<Key, uint64_t> bumped = base;
+  bumped[30] = 6;
+  EXPECT_NE(BuildManifest(bumped, 9).hash, h);
+
+  std::map<Key, uint64_t> swapped = base;
+  std::swap(swapped[10], swapped[20]);
+  EXPECT_NE(BuildManifest(swapped, 9).hash, h);
+
+  std::map<Key, uint64_t> replaced = base;
+  replaced.erase(40);
+  replaced[41] = 7;
+  EXPECT_NE(BuildManifest(replaced, 9).hash, h);
+
+  // And it does not depend on how the set was assembled.
+  EXPECT_EQ(BuildManifest(std::map<Key, uint64_t>(base.rbegin(), base.rend()),
+                          9),
+            BuildManifest(base, 9));
+}
+
+// A group kept incrementally (snapshot Assign, then any sequence of Upserts
+// and Erases) carries exactly the manifest a from-scratch build gives.
+TEST(ReplicaManifestTest, IncrementalGroupMatchesFromScratch) {
+  sim::Rng rng(4242);
+  ReplicaGroup group;
+  uint64_t epoch = 0;
+  auto item = [](Key k, size_t len) {
+    datastore::Item it;
+    it.skv = k;
+    it.data.assign(len, 'x');
+    return it;
+  };
+  for (int round = 0; round < 20; ++round) {
+    // A fresh snapshot (key-ordered, distinct) replaces whatever was held.
+    std::vector<datastore::Item> snapshot;
+    std::vector<uint64_t> snapshot_epochs;
+    Key k = rng.Uniform(0, 50);
+    for (int i = 0; i < static_cast<int>(rng.Uniform(0, 30)); ++i) {
+      snapshot.push_back(item(k, rng.Uniform(0, 8)));
+      snapshot_epochs.push_back(++epoch);
+      k += rng.Uniform(1, 20);
+    }
+    group.Assign(snapshot, snapshot_epochs);
+    group.version = epoch;
+    ASSERT_EQ(group.manifest(), BuildManifest(group.epochs, group.version));
+    for (int op = 0; op < 60; ++op) {
+      const Key key = rng.Uniform(0, 400);
+      if (rng.Uniform(0, 2) == 0) {
+        group.Erase(key);  // present or not
+      } else {
+        group.Upsert(item(key, rng.Uniform(0, 8)), ++epoch);  // new or not
+      }
+      group.version = epoch;
+      ASSERT_EQ(group.manifest(), BuildManifest(group.epochs, group.version))
+          << "round " << round << " op " << op;
+      ASSERT_EQ(group.items.size(), group.epochs.size());
+    }
+  }
 }
 
 // The facade stamps a fresh epoch on every mutation, so re-inserting a key
@@ -118,6 +194,120 @@ TEST(ReplicationDeltaTest, DeltaReconstructedGroupsMatchFreshSnapshots) {
     // The equivalence must have been reached through deltas, not snapshots
     // alone.
     EXPECT_GT(c.metrics().counters().Get("repl.delta_pushes"), 0u);
+  }
+}
+
+// The owner book (key -> epoch and wire bytes, the running manifest hash and
+// byte sum, the dirty set) is kept from the store's mutation feed alone.
+// Drive owners through inserts, overwrites, deletes, a split handoff and a
+// Deactivate -> Activate reuse; after every push, what the owner ships must
+// equal what a from-scratch walk of its store says — the manifest always,
+// and for a snapshot push the bytes charged too.  Run once with deltas and
+// once snapshot-only, so both push shapes are priced from the book.
+TEST(ReplicationDeltaTest, OwnerBookStaysExact) {
+  for (bool delta_pushes : {true, false}) {
+    ClusterOptions o = TestOptions(41, 2);
+    o.repl.delta_pushes = delta_pushes;
+    Cluster c(o);
+    PeerStack* first = c.Bootstrap(kKeySpan);
+    c.AddFreePeer();
+    c.RunFor(sim::kSecond);
+    const Counters& counters = c.metrics().counters();
+    size_t snapshots_checked = 0;
+    size_t shipped_checked = 0;
+
+    // Pushes every active peer, checks each push against its store, then
+    // checks what the first holder received once the push landed.
+    auto push_and_check = [&](const std::string& step) {
+      std::vector<std::pair<PeerStack*, ReplicaManifest>> pushed;
+      for (const auto& p : c.peers()) {
+        if (!p->ring->alive() || !p->ds->active()) continue;
+        const ReplicaManifest fresh = BuildManifest(
+            p->ds->ItemEpochsSnapshot(), p->ds->mutation_epoch());
+        const uint64_t bytes_before = counters.Get("repl.push_bytes");
+        const uint64_t snapshots_before = counters.Get("repl.snapshot_pushes");
+        p->repl->PushNow();
+        EXPECT_EQ(p->repl->OwnManifest(), fresh) << step;
+        if (counters.Get("repl.snapshot_pushes") == snapshots_before + 1) {
+          uint64_t store_bytes = kManifestWireBytes;
+          p->ds->ForEachItem([&store_bytes](const datastore::Item& it,
+                                            uint64_t) {
+            store_bytes += WireBytes(it);
+          });
+          EXPECT_EQ(counters.Get("repl.push_bytes") - bytes_before,
+                    store_bytes)
+              << step;
+          ++snapshots_checked;
+        }
+        pushed.emplace_back(p.get(), fresh);
+      }
+      c.RunFor(100 * sim::kMillisecond);
+      for (const auto& [owner, fresh] : pushed) {
+        if (owner->ds->mutation_epoch() != fresh.version) continue;
+        auto succ = owner->ring->GetSuccRelaxed();
+        if (!succ.has_value() || succ->id == owner->id()) continue;
+        PeerStack* holder = c.FindPeer(succ->id);
+        ASSERT_NE(holder, nullptr);
+        auto it = holder->repl->groups().find(owner->id());
+        ASSERT_NE(it, holder->repl->groups().end()) << step;
+        EXPECT_EQ(it->second.manifest(), fresh) << step;
+        EXPECT_EQ(BuildManifest(it->second.epochs, it->second.version), fresh)
+            << step;
+        ++shipped_checked;
+      }
+    };
+
+    // Overflow past 2*sf: the owner splits, handing a prefix to the free
+    // peer (DropItem on the owner, Activate on the recruit).
+    for (Key k = 500000; k < 500000 + 12 * 7919; k += 7919) {
+      ASSERT_TRUE(c.InsertItem(k, "split-me").ok());
+    }
+    c.RunFor(2 * sim::kSecond);
+    ASSERT_GE(c.LiveMembers().size(), 2u) << "no split happened";
+    push_and_check("split");
+    for (Key k = 1000; k <= 6000; k += 1000) {
+      ASSERT_TRUE(c.InsertItem(k, "v1").ok());
+    }
+    push_and_check("inserts");
+    // Overwrites of existing keys, with payloads of a different size.
+    ASSERT_TRUE(c.InsertItem(2000, "a much longer second version").ok());
+    ASSERT_TRUE(c.InsertItem(4000, "").ok());
+    push_and_check("overwrites");
+    ASSERT_TRUE(c.DeleteItem(3000).ok());
+    ASSERT_TRUE(c.DeleteItem(5000).ok());
+    push_and_check("deletes");
+
+    // A peer reused: Deactivate empties the store (every key becomes a
+    // delete for the next delta), Activate refills it with fresh epochs —
+    // one key kept, one changed, one new.
+    const RingRange range = first->ds->range();
+    std::vector<datastore::Item> before = first->ds->GetLocalItems();
+    ASSERT_GE(before.size(), 2u);
+    first->ds->Deactivate();
+    EXPECT_EQ(first->repl->OwnManifest(),
+              BuildManifest({}, first->ds->mutation_epoch()));
+    datastore::SplitHandoff handoff;
+    handoff.range = range;
+    handoff.items = {before[0], before[1]};
+    handoff.items[1].data = "changed across the reuse";
+    datastore::Item fresh_item;
+    fresh_item.skv = before[1].skv + 1;
+    fresh_item.data = "new";
+    if (range.Contains(fresh_item.skv)) handoff.items.push_back(fresh_item);
+    first->ds->ActivateFromHandoff(handoff);
+    push_and_check("reuse");
+    ASSERT_TRUE(c.InsertItem(before[0].skv, "after reuse").ok());
+    push_and_check("overwrite after reuse");
+
+    EXPECT_GT(snapshots_checked, 0u);
+    EXPECT_GT(shipped_checked, 5u);
+    // Every delta that reached a holder at its base verified end to end: a
+    // mismatch would mean the dirty set missed a mutation (the snapshot
+    // repair that follows would hide it from the checks above).
+    EXPECT_EQ(counters.Get("repl.manifest_mismatches"), 0u);
+    if (delta_pushes) {
+      EXPECT_GT(counters.Get("repl.delta_pushes"), 0u);
+    }
   }
 }
 
