@@ -49,6 +49,8 @@ DataStoreNode::~DataStoreNode() = default;
 
 void DataStoreNode::Activate(RingRange range, std::vector<Item> items) {
   active_ = true;
+  rebalancer_->OnActiveChanged(true);
+  if (replication_ != nullptr) replication_->OnActiveChanged(true);
   range_ = range;
   // Arc born before its items land, so attribution never sees an item on an
   // unknown arc.
@@ -90,6 +92,8 @@ void DataStoreNode::Deactivate() {
   }
   ClearStore();
   active_ = false;
+  rebalancer_->OnActiveChanged(false);
+  if (replication_ != nullptr) replication_->OnActiveChanged(false);
   range_ = RingRange::Empty();
   if (options_.observer != nullptr) {
     options_.observer->OnRangeChange(id(), range_, /*active=*/false);

@@ -168,6 +168,10 @@ class ReplicationHooks {
   virtual void OnItemStored(const Item& item, uint64_t epoch) = 0;
   virtual void OnItemDropped(Key skv) = 0;
   virtual void OnItemsCleared() = 0;
+
+  // The facade was activated (true) or deactivated (false): owner-side
+  // maintenance has work only while the store is active.
+  virtual void OnActiveChanged(bool active) = 0;
 };
 
 struct DataStoreOptions {

@@ -41,9 +41,16 @@ Rebalancer::Rebalancer(DataStoreNode* ds)
   On<MergeAbort>([this](const sim::Message& m, const MergeAbort& req) {
     HandleMergeAbort(m, req);
   });
-  maintenance_timer_ =
-      Every(ds_->options().maintenance_period, [this]() { MaybeRebalance(); },
-            RandomPhase(ds_->options().maintenance_period));
+  maintenance_timer_.SetGrid(ds_->options().maintenance_period,
+                             RandomPhase(ds_->options().maintenance_period));
+}
+
+void Rebalancer::OnActiveChanged(bool active) {
+  if (active) {
+    maintenance_timer_.Resume();
+  } else {
+    maintenance_timer_.Pause();
+  }
 }
 
 void Rebalancer::MaybeRebalance() {

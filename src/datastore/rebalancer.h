@@ -32,8 +32,13 @@ class Rebalancer : public sim::ProtocolComponent {
  public:
   explicit Rebalancer(DataStoreNode* ds);
 
-  // Triggers the overflow/underflow check now (also runs periodically).
+  // Triggers the overflow/underflow check now (also runs periodically
+  // while the data store is active).
   void MaybeRebalance();
+
+  // The data store was activated / deactivated: the periodic check only has
+  // work on an active store, so its timer sleeps in between.
+  void OnActiveChanged(bool active);
 
   // Forced graceful departure (scenario harness: MassLeave): the full
   // availability-preserving exit — replicate one extra hop, leave the ring
@@ -90,7 +95,7 @@ class Rebalancer : public sim::ProtocolComponent {
   bool merge_busy_ = false;  // successor side of a proposed merge
   uint64_t takeover_epoch_ = 0;  // guards stale takeover-expiry timers
   sim::NodeId takeover_from_ = sim::kNullNode;
-  uint64_t maintenance_timer_ = 0;
+  sim::PeriodicTimer maintenance_timer_{this, [this]() { MaybeRebalance(); }};
 };
 
 }  // namespace pepper::datastore

@@ -67,8 +67,7 @@ P2PIndex::P2PIndex(ring::RingNode* ring, datastore::DataStoreNode* ds,
         }
       });
 
-  Every(options_.watchdog_period, [this]() { Watchdog(); },
-               options_.watchdog_period);
+  watchdog_timer_.SetGrid(options_.watchdog_period, options_.watchdog_period);
 }
 
 // --- insert / delete ---------------------------------------------------------
@@ -220,6 +219,7 @@ void P2PIndex::RangeQuery(const Span& span, QueryFn done) {
   q.naive = !options_.pepper_scan;
   q.op = TraceOp("index.query", span.lo);
   queries_.emplace(query_id, std::move(q));
+  watchdog_timer_.Resume();
   if (options_.metrics != nullptr) {
     options_.metrics->counters().Inc(m_queries_);
   }
@@ -291,9 +291,6 @@ void P2PIndex::HandleQueryPartial(const sim::Message&,
   auto it = queries_.find(part.query_id);
   if (it == queries_.end()) return;  // finished already
   ActiveQuery& q = it->second;
-  if (!q.naive && q.coverage.saw_overlap()) {
-    // already flagged; keep collecting anyway
-  }
   q.coverage.Add(part.r);
   if (!q.naive && q.coverage.saw_overlap() && options_.metrics != nullptr) {
     options_.metrics->counters().Inc(m_scan_overlaps_);
@@ -391,6 +388,11 @@ void P2PIndex::Finish(uint64_t query_id, const Status& status) {
 }
 
 void P2PIndex::Watchdog() {
+  if (queries_.empty()) {
+    // No query to resume or expire; RangeQuery wakes the timer again.
+    watchdog_timer_.Pause();
+    return;
+  }
   std::vector<uint64_t> to_fail;
   std::vector<uint64_t> to_kick;
   const sim::SimTime now_us = now();

@@ -109,6 +109,9 @@ class P2PIndex : public sim::ProtocolComponent {
   Counters::Id m_query_resumes_ = 0;
   Histogram* m_query_time_ = nullptr;
   std::map<uint64_t, ActiveQuery> queries_;
+  // Resumes stalled queries and expires overdue ones: runs only while
+  // queries_ is non-empty.
+  sim::PeriodicTimer watchdog_timer_{this, [this]() { Watchdog(); }};
 };
 
 }  // namespace pepper::index

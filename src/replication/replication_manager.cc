@@ -96,10 +96,11 @@ ReplicationManager::ReplicationManager(ring::RingNode* ring,
         HandleProbe(m, probe);
       });
   revive_ = std::make_unique<ReviveProtocol>(this);
-  Every(options_.refresh_period, [this]() { RefreshTick(); },
-        RandomPhase(options_.refresh_period));
-  Every(anti_entropy_period(), [this]() { AntiEntropyTick(); },
-        RandomPhase(anti_entropy_period()));
+  // Both timers sleep until the store activates (the peer is built free).
+  refresh_timer_.SetGrid(options_.refresh_period,
+                         RandomPhase(options_.refresh_period));
+  anti_entropy_timer_.SetGrid(anti_entropy_period(),
+                              RandomPhase(anti_entropy_period()));
 }
 
 ReplicationManager::~ReplicationManager() = default;
@@ -109,7 +110,24 @@ sim::SimTime ReplicationManager::anti_entropy_period() const {
                                            : 8 * options_.refresh_period;
 }
 
+void ReplicationManager::OnActiveChanged(bool active) {
+  if (active) {
+    refresh_timer_.Resume();
+    anti_entropy_timer_.Resume();
+  } else {
+    // The refresh tick pauses itself once nothing is left to age out.
+    anti_entropy_timer_.Pause();
+  }
+}
+
 void ReplicationManager::RefreshTick() {
+  if (!ds_->active() && groups_.empty() && holders_.empty()) {
+    // Nothing to push and nothing to age out.  Holder entries are only
+    // booked while active, so only activation or an adopted replica group
+    // (ApplySnapshot) can give this tick work again; both resume it.
+    refresh_timer_.Pause();
+    return;
+  }
   // Age out groups whose owner stopped refreshing long ago — but never
   // blindly: an expired group whose owner is DEAD may hold the last copies
   // of an arc the ring has not yet repaired its way back to (a successor
@@ -358,6 +376,7 @@ void ReplicationManager::OnSuccessorFailed(sim::NodeId succ) {
 
 void ReplicationManager::ApplySnapshot(const ReplicaPushMsg& push) {
   ReplicaGroup& group = groups_[push.owner];
+  refresh_timer_.Resume();  // the group must age out even if we deactivate
   if (group.version > push.manifest.version) {
     // Stale copy (an extra-hop forward or a reordered retry racing a direct
     // refresh): never regress a fresher group.

@@ -198,6 +198,7 @@ class ReplicationManager : public sim::ProtocolComponent,
   void OnItemStored(const datastore::Item& item, uint64_t epoch) override;
   void OnItemDropped(Key skv) override;
   void OnItemsCleared() override;
+  void OnActiveChanged(bool active) override;
 
   // Pushes this peer's items to its successors now (delta when the chain is
   // warm, snapshot otherwise).  `settled`, if given, fires once the first
@@ -310,6 +311,12 @@ class ReplicationManager : public sim::ProtocolComponent,
   size_t outstanding_pushes_ = 0;
   bool push_scheduled_ = false;
   bool sweeping_ = false;
+  // The refresh tick pushes our items and ages out held groups and holder
+  // entries: it runs while the store is active or either book is non-empty
+  // (a merged-away peer still ages out its groups).  Anti-entropy probes
+  // our own holders, so it runs only while the store is active.
+  sim::PeriodicTimer refresh_timer_{this, [this]() { RefreshTick(); }};
+  sim::PeriodicTimer anti_entropy_timer_{this, [this]() { AntiEntropyTick(); }};
 
   // Interned handles for the push hot path (valid iff metrics set).
   Counters::Id m_push_msgs_ = 0;

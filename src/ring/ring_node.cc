@@ -36,22 +36,21 @@ void RingNode::RegisterHandlers() {
 }
 
 void RingNode::StartTimers() {
-  if (timers_started_) return;
-  timers_started_ = true;
+  if (stab_timer_.running()) return;
   // Deterministic per-node phase offset so peers do not stabilize in
   // lockstep.
   const sim::SimTime stab_phase = RandomPhase(options_.stabilization_period);
   const sim::SimTime ping_phase = RandomPhase(options_.ping_period);
-  stab_timer_ = Every(
-      options_.stabilization_period, [this]() { RunStabilization(); },
-      stab_phase);
-  ping_timer_ = Every(options_.ping_period, [this]() { RunPing(); },
-                      ping_phase);
+  stab_timer_.SetGrid(options_.stabilization_period, stab_phase);
+  ping_timer_.SetGrid(options_.ping_period, ping_phase);
+  stab_timer_.Resume();
+  ping_timer_.Resume();
 }
 
 void RingNode::BecomeJoined() {
   state_ = PeerState::kJoined;
   StartTimers();
+  for (const auto& fn : on_became_member_) fn();
 }
 
 // --- Ring API --------------------------------------------------------------
@@ -261,11 +260,8 @@ void RingNode::Depart() {
   stabilizing_ = false;
   pinging_ = false;
   last_new_succ_ = sim::kNullNode;
-  if (timers_started_) {
-    CancelTimer(stab_timer_);
-    CancelTimer(ping_timer_);
-    timers_started_ = false;
-  }
+  stab_timer_.Pause();
+  ping_timer_.Pause();
 }
 
 std::optional<SuccEntry> RingNode::GetSucc() const {

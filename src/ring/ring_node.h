@@ -161,6 +161,13 @@ class RingNode : public sim::ProtocolComponent {
     on_successor_failed_.push_back(std::move(fn));
   }
   void set_on_joined(JoinedFn fn) { on_joined_ = std::move(fn); }
+  // Fires whenever this peer becomes a ring member (InitRing or a completed
+  // join), after the ring's own timers started.  Multi-subscriber, same
+  // lifetime contract as the successor hooks: the HRF router wakes its
+  // refresh timer here.
+  void add_on_became_member(std::function<void()> fn) {
+    on_became_member_.push_back(std::move(fn));
+  }
 
  private:
   void RegisterHandlers();
@@ -199,6 +206,7 @@ class RingNode : public sim::ProtocolComponent {
   std::vector<NewSuccessorFn> on_new_successor_;
   std::vector<SuccessorFailedFn> on_successor_failed_;
   JoinedFn on_joined_;
+  std::vector<std::function<void()>> on_became_member_;
 
   sim::NodeId pred_id_ = sim::kNullNode;
   Key pred_val_ = 0;
@@ -237,9 +245,9 @@ class RingNode : public sim::ProtocolComponent {
   bool stabilizing_ = false;
   bool pinging_ = false;
   bool rectifying_ = false;
-  uint64_t stab_timer_ = 0;
-  uint64_t ping_timer_ = 0;
-  bool timers_started_ = false;
+  // Started (with fresh phases) on join, stopped on departure.
+  sim::PeriodicTimer stab_timer_{this, [this]() { RunStabilization(); }};
+  sim::PeriodicTimer ping_timer_{this, [this]() { RunPing(); }};
   sim::NodeId last_new_succ_ = sim::kNullNode;
   uint64_t op_epoch_ = 0;  // guards stale timeouts
 };

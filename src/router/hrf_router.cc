@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "telemetry/load_monitor.h"
@@ -69,9 +70,31 @@ HrfRouter::HrfRouter(ring::RingNode* ring, datastore::DataStoreNode* ds,
   // The only RNG draw the refresh path ever makes: the initial phase.
   // Cadence changes re-arm with fixed delays (SetPeriod), so adaptive
   // behavior never shifts the simulator's random stream — same-seed replay
-  // holds.
-  refresh_timer_ = Every(hrf_options_.refresh_period, [this]() { Tick(); },
+  // holds.  The peer is built free: its timer sleeps on this grid until it
+  // joins.
+  refresh_timer_.SetGrid(hrf_options_.refresh_period,
                          RandomPhase(hrf_options_.refresh_period));
+  ring_->add_on_became_member([this]() { OnBecameMember(); });
+}
+
+bool HrfRouter::IsMember() const {
+  const ring::PeerState state = ring_->state();
+  return state == ring::PeerState::kJoined ||
+         state == ring::PeerState::kInserting;
+}
+
+void HrfRouter::OnBecameMember() {
+  if (refresh_timer_.running()) return;
+  if (options_.monitor != nullptr) {
+    // The ticks slept through outside member states would each have
+    // stamped the staleness clock; only the latest stamp is ever read.
+    const std::optional<sim::SimTime> last =
+        refresh_timer_.LastInstantBefore(now());
+    if (last.has_value() && *last > options_.monitor->last_refresh(id())) {
+      options_.monitor->OnRefreshPass(id(), *last);
+    }
+  }
+  refresh_timer_.Resume();
 }
 
 uint64_t HrfRouter::DistFromSelf(Key to) const {
@@ -90,6 +113,11 @@ void HrfRouter::Tick() {
   } else {
     RefreshTick();
   }
+  // Outside member states a tick settles the state change (base cadence,
+  // empty hierarchy) and stamps the staleness clock; every later one would
+  // only stamp it again.  Sleep until the next join, which replays the
+  // stamp.
+  if (!IsMember()) refresh_timer_.Pause();
 }
 
 // --- Legacy per-level refresh (A/B baseline, fixed cadence) -----------------
@@ -363,12 +391,11 @@ void HrfRouter::SetPeriod(sim::SimTime period) {
                                          : m_cadence_resets_);
   }
   current_period_ = period;
-  CancelTimer(refresh_timer_);
   // Event-driven re-arm with a fixed initial delay — deliberately NOT a
   // RandomPhase draw: cadence changes must not consume simulator
   // randomness, or adaptive runs would diverge from the same-seed replay
   // contract.
-  refresh_timer_ = Every(period, [this]() { Tick(); }, period);
+  refresh_timer_.SetGrid(period, period);
 }
 
 void HrfRouter::OnRingEvent() {

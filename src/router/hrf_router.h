@@ -169,6 +169,12 @@ class HrfRouter : public RouterBase {
   void SetPeriod(sim::SimTime period);
   void OnRingEvent();
 
+  // Ring member states (joined, or inserting a successor): the only states
+  // in which a refresh pass is owed.
+  bool IsMember() const;
+  // Wired to the ring's became-member hook: wakes the refresh timer.
+  void OnBecameMember();
+
   void CountRefreshRpc();
 
   // Clockwise distance from this peer's value to `to` (modular Key
@@ -180,7 +186,8 @@ class HrfRouter : public RouterBase {
 
   // Adaptive-cadence state.
   sim::SimTime current_period_;
-  uint64_t refresh_timer_ = 0;
+  // Runs only in member states (see Tick and OnBecameMember).
+  sim::PeriodicTimer refresh_timer_{this, [this]() { Tick(); }};
   ring::PeerState last_state_;
   uint64_t pass_epoch_ = 0;
   bool pass_active_ = false;

@@ -3,8 +3,8 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
-#include <vector>
 
 #include "sim/node.h"
 
@@ -23,7 +23,7 @@ namespace pepper::sim {
 // last-registration-wins on the shared node, so each message type must be
 // owned by exactly one component of a peer.
 //
-// Timers started through Every() are owned by the component: they are
+// Periodic timers are PeriodicTimer members of the component: they are
 // cancelled when the component is destroyed, even if the host node lives on.
 // One-shot After() callbacks and On<> handler registrations are NOT undone
 // on destruction — they capture the component and may fire later.  The
@@ -74,12 +74,6 @@ class ProtocolComponent {
     node_->After(delay, std::move(fn));
   }
 
-  // Alive-guarded periodic timer, owned by this component (auto-cancelled on
-  // component destruction).
-  uint64_t Every(SimTime period, std::function<void()> fn,
-                 SimTime initial_delay);
-  void CancelTimer(uint64_t timer_id);
-
   // Deterministic per-peer phase in [0, period] so peers sharing a period do
   // not tick in lockstep.
   SimTime RandomPhase(SimTime period);
@@ -102,7 +96,57 @@ class ProtocolComponent {
  private:
   std::unique_ptr<Node> owned_node_;  // only set for the bottom layer
   Node* node_;
-  std::vector<uint64_t> timers_;
+};
+
+// The periodic-timer primitive of a ProtocolComponent: an alive-guarded
+// tick on a fixed grid that can sleep while its owner has nothing to do.
+//
+// SetGrid lays the grid — first = now + first_delay, then every `period` —
+// and Resume arms the timer at the next grid instant not before the
+// earliest instant the calling context may arm (the executing event's time;
+// one lookahead past the control clock, the clamp Simulator applies to
+// every node timer armed from the control context).  Pause cancels the
+// pending tick; it is safe from inside the tick itself.  So a timer that
+// sleeps through the stretches where its tick would be a no-op fires at
+// exactly the instants an always-on timer with the same grid fires at
+// while awake, and draws nothing extra from the node's RNG stream: the
+// phase is the owner's RandomPhase, drawn once when the grid is laid.
+//
+// Owners pause at the first tick that finds no work and resume from the
+// event that creates work (a query registered, a store activated, a
+// replica group adopted, a ring join).  A sleeping timer holds no wheel
+// record and executes no events, which is what makes idle peers free.
+//
+// Re-laying the grid of a running timer re-arms it at the new first
+// instant (an adaptive cadence change); a paused timer keeps sleeping on
+// the new grid.  Destruction cancels the pending tick.
+class PeriodicTimer {
+ public:
+  PeriodicTimer(ProtocolComponent* owner, std::function<void()> fn);
+  ~PeriodicTimer();
+
+  PeriodicTimer(const PeriodicTimer&) = delete;
+  PeriodicTimer& operator=(const PeriodicTimer&) = delete;
+
+  void SetGrid(SimTime period, SimTime first_delay);
+  void Resume();
+  void Pause();
+
+  bool running() const { return running_; }
+  // The latest grid instant strictly before `t`; none if the grid starts at
+  // or after `t` (or no grid is laid).
+  std::optional<SimTime> LastInstantBefore(SimTime t) const;
+
+ private:
+  void Arm(SimTime at);
+
+  Node* node_;
+  std::function<void()> fn_;
+  SimTime period_ = 0;
+  SimTime first_ = 0;  // the grid's first instant
+  SimTime next_ = 0;   // the next grid instant the timer has not fired at
+  uint64_t timer_id_ = 0;
+  bool running_ = false;
 };
 
 }  // namespace pepper::sim

@@ -160,6 +160,11 @@ SimTime Simulator::now() const {
   return sc != nullptr ? sc->now : now_;
 }
 
+SimTime Simulator::EarliestTimerFire() const {
+  const ShardCore* sc = tls_shard_;
+  return sc != nullptr ? sc->now : now_ + lookahead_;
+}
+
 Rng& Simulator::rng() {
   ShardCore* sc = tls_shard_;
   if (sc != nullptr) return slots_[sc->exec_node].rng;
@@ -238,7 +243,7 @@ uint32_t Simulator::ArmTimer(NodeId id, SimTime expiry, SimTime period,
                          SeqOf(sc->exec_node));
   }
   ShardCore& dst = *shards_[ShardOf(id)];
-  const SimTime at = std::max(expiry, now_ + lookahead_);
+  const SimTime at = std::max(expiry, EarliestTimerFire());
   return dst.wheel.Arm(id, at, period, std::move(fn), &dst.queue, SeqOf(id));
 }
 

@@ -185,6 +185,11 @@ class Simulator {
   // Current virtual time of the calling context: an executing event sees
   // its shard clock, everyone else the control clock.
   SimTime now() const;
+  // Earliest instant a node timer armed by the calling context can fire at:
+  // now() inside an event; one lookahead past the control clock outside,
+  // because a shard may already have run up to the window edge (ArmTimer
+  // clamps control-context arms there).
+  SimTime EarliestTimerFire() const;
 
   void After(SimTime delay, std::function<void()> fn);
 

@@ -10,10 +10,13 @@
 
 namespace pepper::sim {
 
-// Hierarchical timer wheel for the periodic protocol timers (Node::Every):
-// stabilize, ping, replication refresh, anti-entropy, router refresh,
-// index watchdog — thousands of live timers at paper scale, each firing
-// many times.  Arm, cancel and rearm are O(1) and allocation-free; the
+// Hierarchical timer wheel for the periodic protocol timers (Node::Every,
+// driven by the components' PeriodicTimers): stabilize, ping, replication
+// refresh, anti-entropy, rebalance check, router refresh, index watchdog.
+// Each is live only while its peer has work for it (a free peer holds
+// none; a paused PeriodicTimer cancels its record and re-arms on its fixed
+// grid), but a busy ring still keeps thousands live, each firing many
+// times.  Arm, cancel and rearm are O(1) and allocation-free; the
 // per-timer closure is allocated once when the timer is created and reused
 // across every tick (the old path re-captured it into a fresh heap closure
 // per tick).

@@ -7,6 +7,10 @@ Gates on the micro events/sec (and the other micro throughputs) dropping
 more than --max-regress below the baseline.  Scenario wall-clock is printed
 for context but never gates: CI machines vary too much for a hard wall-time
 bound, while the micro throughputs are stable enough for a 20% band.
+Beside it, simulated seconds per wall second is printed for the trend (not
+gated): it measures scenario throughput whatever an event costs, so a
+change that removes cheap events shows up as the speed-up it is, while
+the events/sec bands below read it as a slowdown.
 
 Also gates the router refresh-traffic figures of the scenario probe (both
 deterministic, so CI machine variance does not apply):
@@ -141,8 +145,11 @@ def main(argv):
     for report, label in ((baseline, "baseline"), (fresh, "fresh")):
         scn = report.get("scenario")
         if scn:
+            rate = scn.get("sim_seconds_per_wall_second")
+            rate_txt = f"  {rate:.1f} sim s/wall s" if rate is not None else ""
             print(f"  scenario wall ({label:8s})      {scn['wall_seconds']:.1f}s"
-                  f"  audits_ok={scn.get('fatal_audits_ok')}")
+                  f"{rate_txt}  audits_ok={scn.get('fatal_audits_ok')}"
+                  f"  (trend only)")
 
     fresh_scn = fresh.get("scenario")
     if fresh_scn and fresh_scn.get("fatal_audits_ok") is False:

@@ -41,6 +41,10 @@ struct ScenarioProbe {
   double scale = 0.0;
   uint64_t seed = 0;
   double wall_seconds = 0.0;
+  // Simulated time the run covered.  Simulated seconds per wall second is
+  // the run's throughput whatever an event costs: a change that removes
+  // cheap events lowers events/sec while this figure rises.
+  double sim_seconds = 0.0;
   uint64_t events = 0;
   uint64_t messages = 0;
   // Router refresh-traffic probe: HRF level-maintenance messages (GetLevels
@@ -103,6 +107,7 @@ ScenarioProbe RunScenarioProbe(double scale, uint64_t seed,
   probe.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
+  probe.sim_seconds = sim::ToSeconds(runner.cluster()->sim().now());
   probe.events = runner.cluster()->sim().events_executed();
   probe.messages = runner.cluster()->sim().network().messages_sent();
   const auto& counters = runner.cluster()->metrics().counters();
@@ -210,10 +215,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "long_churn missing from the catalogue\n");
       return 2;
     }
-    std::printf("  wall %.1fs, %llu events (%.0f events/sec), audits %s\n",
+    std::printf("  wall %.1fs, %llu events (%.0f events/sec), %.0f sim s per "
+                "wall s, audits %s\n",
                 probe.wall_seconds,
                 static_cast<unsigned long long>(probe.events),
                 static_cast<double>(probe.events) / probe.wall_seconds,
+                probe.sim_seconds / probe.wall_seconds,
                 probe.ok ? "green" : "VIOLATED");
     std::printf("  router refresh msgs %llu (%.1f%% of %llu total), "
                 "hops mean %.2f over %llu lookups\n",
@@ -358,6 +365,9 @@ int main(int argc, char** argv) {
     json << "    \"events_per_sec\": "
          << static_cast<uint64_t>(static_cast<double>(probe.events) /
                                   probe.wall_seconds) << ",\n";
+    json << "    \"sim_seconds\": " << probe.sim_seconds << ",\n";
+    json << "    \"sim_seconds_per_wall_second\": "
+         << probe.sim_seconds / probe.wall_seconds << ",\n";
     json << "    \"messages\": " << probe.messages << ",\n";
     json << "    \"router\": {\n";
     AppendRouterJson(json, probe);
