@@ -112,6 +112,7 @@ void DataStoreNode::set_replication(ReplicationHooks* hooks) {
 
 void DataStoreNode::set_range(const RingRange& range) {
   range_ = range;
+  rebalancer_->OnProbeInputChanged();
   if (options_.observer != nullptr) {
     options_.observer->OnRangeChange(id(), range_, active_);
   }
@@ -129,6 +130,9 @@ void DataStoreNode::StoreItem(const Item& item) {
   if (options_.observer != nullptr) {
     options_.observer->OnStore(id(), item.skv);
   }
+  if (active_ && store_->size() > 2 * options_.storage_factor) {
+    rebalancer_->OnOverflow();
+  }
 }
 
 void DataStoreNode::DropItem(Key skv) {
@@ -137,6 +141,7 @@ void DataStoreNode::DropItem(Key skv) {
     // diverge from any copy still holding the item.
     ++mutation_epoch_;
     if (replication_ != nullptr) replication_->OnItemDropped(skv);
+    if (active_) rebalancer_->OnProbeInputChanged();
   }
   if (options_.observer != nullptr) {
     options_.observer->OnDrop(id(), skv);

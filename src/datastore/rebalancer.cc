@@ -47,21 +47,39 @@ Rebalancer::Rebalancer(DataStoreNode* ds)
 
 void Rebalancer::OnActiveChanged(bool active) {
   if (active) {
+    probe_due_ = true;
     maintenance_timer_.Resume();
   } else {
     maintenance_timer_.Pause();
   }
 }
 
-void Rebalancer::MaybeRebalance() {
-  if (!ds_->active() || rebalancing_ || merge_busy_) return;
-  MaybeStartReviveSweep();
+void Rebalancer::OnOverflow() {
+  if (ds_->active()) maintenance_timer_.Resume();
+}
+
+void Rebalancer::OnProbeInputChanged() {
+  probe_due_ = true;
+  if (ds_->active()) maintenance_timer_.Resume();
+}
+
+void Rebalancer::MaintenanceTick() {
+  if (MaybeRebalance()) maintenance_timer_.Pause();
+}
+
+bool Rebalancer::MaybeRebalance() {
+  if (!ds_->active() || rebalancing_ || merge_busy_) return false;
+  if (probe_due_) MaybeStartReviveSweep();
   const size_t sf = ds_->options().storage_factor;
   if (ds_->ItemCount() > 2 * sf) {
     StartSplit();
-  } else if (ds_->ItemCount() < sf && !ds_->range().full()) {
-    StartUnderflow();
+    return false;
   }
+  if (ds_->ItemCount() < sf && !ds_->range().full()) {
+    StartUnderflow();
+    return false;
+  }
+  return !probe_due_;
 }
 
 // Revival sweep (last resort for items whose re-home failed or whose
@@ -71,10 +89,17 @@ void Rebalancer::MaybeRebalance() {
 // resurrect deleted items.
 void Rebalancer::MaybeStartReviveSweep() {
   ReplicationHooks* replication = ds_->replication();
-  if (replication == nullptr || ds_->lock().write_held()) return;
+  if (replication == nullptr) {
+    probe_due_ = false;  // no replicas, nothing to revive
+    return;
+  }
+  if (ds_->lock().write_held()) return;
   const bool missing = replication->AnyReplicaIn(
       ds_->range(), [this](Key skv) { return !ds_->HasItem(skv); });
-  if (!missing) return;
+  if (!missing) {
+    probe_due_ = false;
+    return;
+  }
   replication->StartReviveSweep(ds_->range(), [this](const Item& it) {
     if (!ds_->active() || ds_->lock().write_held() ||
         !ds_->range().Contains(it.skv) || ds_->HasItem(it.skv)) {
@@ -92,6 +117,7 @@ void Rebalancer::MaybeStartReviveSweep() {
 void Rebalancer::RequestLeave() {
   if (!ds_->active() || rebalancing_ || merge_busy_) return;
   rebalancing_ = true;
+  maintenance_timer_.Resume();  // awake until the departure settles
   const trace::OpToken op = TraceOp("ds.leave");
   ds_->AcquireWriteTimed([this, op](bool ok) {
     if (!ok) {
@@ -429,6 +455,7 @@ void Rebalancer::HandleMergeProposal(const sim::Message& msg,
     return;
   }
   merge_busy_ = true;
+  maintenance_timer_.Resume();  // awake until the merge settles
   const size_t proposer_count = req.count;
   ds_->AcquireWriteTimed([this, msg, proposer_count, reject](bool ok) {
     if (!ok) {

@@ -28,17 +28,48 @@ class DataStoreNode;
 // initiated (item traffic bounces while set); `merge_busy_` marks the
 // successor side of a proposed takeover, which holds the write lock until
 // the leaver's transfer arrives, aborts, or times out (epoch-guarded).
+//
+// Dormant check.  The periodic check sleeps while it has nothing to do and
+// is woken by the events that can give it work, so a settled member runs
+// no tick at all.  A tick pauses the timer only when it got past the
+// active/rebalancing_/merge_busy_ gate, the item count is in [sf, 2*sf] (or
+// the range is full), and the revive probe is not due.  The probe —
+// AnyReplicaIn(range, !HasItem) — stops being due only when a tick ran it
+// without the write lock held and it came back false; its inputs are the
+// range, the item set and the held replica groups, so it is re-armed
+// (`probe_due_`) by every event that can turn its answer to true.  Wake
+// sources, each resuming the timer on its original grid (so a woken tick
+// fires where the always-on timer would have):
+//   - the store grew above 2*sf (OnOverflow, from StoreItem);
+//   - a stored key was dropped, the range changed, or the store was
+//     activated (OnProbeInputChanged; a drop also covers underflow);
+//   - a replica group gained a key inside the range (OnProbeInputChanged,
+//     from the replication holder side);
+//   - rebalancing_ or merge_busy_ was set, so a sleeping check always
+//     means an idle peer.
+// Wake checks must never read the item store: on the paged backend a
+// lookup touches the buffer pool, so a wake check that called HasItem
+// would move the schedule it is meant to leave alone.  They look only at
+// the count, the range and the replica key being added.
 class Rebalancer : public sim::ProtocolComponent {
  public:
   explicit Rebalancer(DataStoreNode* ds);
 
   // Triggers the overflow/underflow check now (also runs periodically
-  // while the data store is active).
-  void MaybeRebalance();
+  // while work may be due; see the class comment).  True when it found
+  // nothing to do and nothing can become due before the next wake.
+  bool MaybeRebalance();
 
   // The data store was activated / deactivated: the periodic check only has
   // work on an active store, so its timer sleeps in between.
   void OnActiveChanged(bool active);
+
+  // Wake sources of the sleeping check; O(1), and neither reads the store.
+  // The item count rose above 2*sf.
+  void OnOverflow();
+  // An input of the revive probe changed: a stored key was dropped, the
+  // range moved, or a replica group gained a key inside the range.
+  void OnProbeInputChanged();
 
   // Forced graceful departure (scenario harness: MassLeave): the full
   // availability-preserving exit — replicate one extra hop, leave the ring
@@ -50,8 +81,11 @@ class Rebalancer : public sim::ProtocolComponent {
   // Test/bench observability.
   bool rebalancing() const { return rebalancing_; }
   bool merge_busy() const { return merge_busy_; }
+  bool maintenance_awake() const { return maintenance_timer_.running(); }
 
  private:
+  // The periodic tick: the check, then sleep if it left nothing due.
+  void MaintenanceTick();
   void StartSplit();
   // Continuation once the free-peer pool answers (possibly a window later
   // under the sharded simulator); re-validates before materializing.  The
@@ -65,6 +99,8 @@ class Rebalancer : public sim::ProtocolComponent {
   void StartUnderflow();
   void DoMergeLeave(sim::NodeId succ_id, const trace::OpToken& op);
   void EndRebalance(bool locked);
+  // Runs the revive probe and starts a sweep on a hit; a clean probe clears
+  // `probe_due_`.
   void MaybeStartReviveSweep();
 
   void HandleSplitInsert(const sim::Message& msg,
@@ -95,7 +131,9 @@ class Rebalancer : public sim::ProtocolComponent {
   bool merge_busy_ = false;  // successor side of a proposed merge
   uint64_t takeover_epoch_ = 0;  // guards stale takeover-expiry timers
   sim::NodeId takeover_from_ = sim::kNullNode;
-  sim::PeriodicTimer maintenance_timer_{this, [this]() { MaybeRebalance(); }};
+  // The revive probe may find a missing replica (see the class comment).
+  bool probe_due_ = true;
+  sim::PeriodicTimer maintenance_timer_{this, [this]() { MaintenanceTick(); }};
 };
 
 }  // namespace pepper::datastore

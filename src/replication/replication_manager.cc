@@ -4,6 +4,7 @@
 #include <memory>
 #include <utility>
 
+#include "datastore/rebalancer.h"
 #include "replication/revive_protocol.h"
 #include "ring/ring_messages.h"
 
@@ -388,6 +389,11 @@ void ReplicationManager::ApplySnapshot(const ReplicaPushMsg& push) {
   group.version = push.manifest.version;
   group.refreshed_at = now();
   group.ttl_strikes = 0;
+  // A copy holding keys inside our range may hold items we lack: wake the
+  // rebalancer's revive probe.  Decided on keys alone; the store is not read.
+  const bool in_range = !ForEachInArc(group.items, ds_->range(),
+                                      [](const auto&) { return false; });
+  if (in_range) ds_->rebalancer().OnProbeInputChanged();
 }
 
 void ReplicationManager::HandlePush(const sim::Message& msg,
@@ -433,6 +439,9 @@ void ReplicationManager::HandleDelta(const sim::Message& msg,
     } else if (group.version == delta.from_version) {
       for (size_t i = 0; i < delta.upserts.size(); ++i) {
         group.Upsert(delta.upserts[i], delta.upsert_epochs[i]);
+        if (ds_->range().Contains(delta.upserts[i].skv)) {
+          ds_->rebalancer().OnProbeInputChanged();  // as in ApplySnapshot
+        }
       }
       for (Key k : delta.deletes) group.Erase(k);
       group.version = delta.manifest.version;

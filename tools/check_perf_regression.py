@@ -8,9 +8,9 @@ more than --max-regress below the baseline.  Scenario wall-clock is printed
 for context but never gates: CI machines vary too much for a hard wall-time
 bound, while the micro throughputs are stable enough for a 20% band.
 Beside it, simulated seconds per wall second is printed for the trend (not
-gated): it measures scenario throughput whatever an event costs, so a
-change that removes cheap events shows up as the speed-up it is, while
-the events/sec bands below read it as a slowdown.
+gated here): it measures scenario throughput whatever an event costs, so a
+change that removes cheap events shows up as the speed-up it is.  The
+disabled-hook bands below gate on that rate.
 
 Also gates the router refresh-traffic figures of the scenario probe (both
 deterministic, so CI machine variance does not apply):
@@ -30,48 +30,27 @@ When the fresh report carries a scenario "shards" block (the same run at
     (default 2.0) -- but only when the report's host_cores >= N; on smaller
     hosts the speedup is printed for the trend and not gated.
 
-When the fresh report carries a scenario "trace" block (the causal-tracing
-A/B on long_churn --paper --scale=20), two more gates run:
-  * tracing-OFF overhead: the fresh off-arm events/sec must stay within
-    --max-trace-overhead (default 0.05) of the committed baseline's
-    scenario events/sec -- the disabled instrumentation hooks may not cost
-    more than 5% of the hot path.  Cross-report and therefore
-    host-sensitive, like every committed-baseline comparison: re-baseline
-    on a runner-class change rather than hunting a phantom regression.
-  * replay identity: the tracing-on arm must execute exactly the main
-    probe's event/message counts (tracing must never perturb the schedule),
-    and its audits must stay green.  The on-arm wall-clock overhead is
-    printed for the trend, not gated (sampled tracing cost is dominated by
-    machine variance at these run lengths).
-
-When the fresh report carries a scenario "telemetry" block (the windowed
-load-monitor A/B on the same run), three more gates run:
-  * replay identity: the telemetry-on arm must execute exactly the main
-    probe's event/message counts -- the monitor rings and health probes must
-    never perturb the schedule.  Hard fail on divergence.
-  * the on-arm audits (fatal ring/SLO probes PLUS the armed health probes)
-    must stay green -- a clean long_churn may never trip a health finding.
-  * disabled-hook overhead: the off arm (monitor hooks compiled in, no
-    monitor armed -- the default state of every run) must keep its
-    events/sec within --max-telemetry-overhead (default 0.05) of the
-    committed baseline, same contract as the trace block.  The ARMED
-    monitor's wall overhead (overhead_ratio, a same-report ratio) is
-    printed for the trend, not gated: per-delivery ring writes cost real
-    wall time, and paying it is an explicit opt-in (--timeline / --health).
-When the fresh report carries a scenario "store" block (the paged-store A/B
-on the same run, page_io_latency=0), three more gates run:
-  * replay identity: the paged arm must execute exactly the in-memory arm's
-    event/message counts.  At zero simulated I/O latency the storage engine
-    is invisible to the protocol, so ANY divergence means the B+-tree or
-    the facade's latency charging changed the schedule.  Hard fail.
-  * the paged arm's fatal audits must stay green.
-  * in-memory overhead: the off arm (the ItemStore facade over the map
-    engine -- the default state of every run) must keep its events/sec
-    within --max-store-overhead (default 0.05) of the committed baseline's
-    scenario events/sec.  The abstraction may not tax the hot path more
-    than 5%.  Cross-report and host-sensitive like the trace/telemetry
-    bands.  The paged arm's wall overhead and buffer hit rate are printed
-    for the trend, not gated.
+When the fresh report carries a scenario "trace", "telemetry" or "store"
+block (the causal-tracing, windowed load-monitor and paged-store A/Bs on
+the same run), each arm gets the same three gates:
+  * replay identity: the on arm must execute exactly the main probe's
+    event/message counts -- tracing and the monitor rings must never
+    perturb the schedule, and at zero simulated I/O latency the paged
+    engine is invisible to the protocol.  Hard fail on divergence.
+  * the on arm's audits (fatal ring/SLO probes, plus the armed health
+    probes on the telemetry arm) must stay green.  Hard fail.
+  * disabled-hook overhead: the off arm -- the default state of every run:
+    trace and monitor hooks compiled in but idle, the ItemStore facade over
+    the in-memory engine -- must keep its simulated seconds per wall second
+    (scenario sim_seconds / the arm's off_wall_seconds) within its band
+    (--max-trace-overhead, --max-telemetry-overhead, --max-store-overhead;
+    default 0.05 each) of the committed baseline's scenario figure.  The
+    rate is per simulated second, not per event, so a change that removes
+    cheap events reads as the speed-up it is rather than as a slowdown.
+    Cross-report and host-sensitive: re-baseline on a runner-class change
+    rather than hunting a phantom regression.
+  The on arm's wall overhead (and, for the store arm, the buffer hit rate)
+  is printed for the trend, not gated.
 Exit status: 0 ok, 1 regression, 2 usage/schema error.
 """
 
@@ -215,100 +194,56 @@ def main(argv):
                 print(f"  shards={n} speedup             {speedup:14.2f}x"
                       f"  (not gated: host_cores={cores} < {n})")
 
-    # --- Causal-tracing gates ------------------------------------------------
-    tr = (fresh_scn or {}).get("trace")
-    if tr:
-        if tr.get("replay_identical") is False:
-            print("tracing-on run diverged from the tracing-off schedule")
+    # --- Hook A/B arms: trace, telemetry, paged store -------------------------
+    # Each arm replays the main probe with one subsystem armed; its off arm
+    # is the main probe itself (every hook idle).
+    base_scn = baseline.get("scenario") or {}
+    base_rate = base_scn.get("sim_seconds_per_wall_second")
+    fresh_sim_s = (fresh_scn or {}).get("sim_seconds")
+    for key, band, diverged in (
+            ("trace", max_trace_overhead,
+             "tracing-on run diverged from the tracing-off schedule"),
+            ("telemetry", max_telemetry_overhead,
+             "telemetry-on run diverged from the telemetry-off schedule"),
+            ("store", max_store_overhead,
+             "paged-store run diverged from the in-memory schedule "
+             "at zero I/O latency")):
+        arm = (fresh_scn or {}).get(key)
+        if not arm:
+            continue
+        if arm.get("replay_identical") is False:
+            print(diverged)
             failed = True
-        if tr.get("on_audits_ok") is False:
-            print("tracing-on scenario run had audit violations")
+        if arm.get("on_audits_ok") is False:
+            print(f"{key}-on run had audit violations")
             failed = True
-        # Tracing-off overhead vs the committed baseline: the disabled
-        # hooks (context clears, msg.trace stamping branches) ride the hot
-        # path of every run, so they get a tighter band than the general
-        # throughput gate.
-        base_eps = (baseline.get("scenario") or {}).get("events_per_sec")
-        off_eps = tr.get("off_events_per_sec")
-        if base_eps and off_eps is not None:
-            ratio = off_eps / base_eps
-            status = "OK"
-            if ratio < 1.0 - max_trace_overhead:
-                status = "REGRESSED"
-                failed = True
-            print(f"  trace-off vs baseline        {base_eps:>14,.0f} -> "
-                  f"{off_eps:>14,.0f}  ({ratio:6.2%})  {status}")
-        elif off_eps is not None:
-            print(f"  trace-off vs baseline        (no baseline)  "
-                  f"{off_eps:,.0f} events/sec")
-        overhead = tr.get("overhead_ratio")
-        if overhead is not None:
-            print(f"  trace-on overhead (1-in-{tr.get('on_sample_every', '?')})"
-                  f"    {overhead:10.3f}x wall, "
-                  f"{tr.get('on_records', 0):,} records  (trend only)")
-
-    # --- Telemetry gates -----------------------------------------------------
-    tm = (fresh_scn or {}).get("telemetry")
-    if tm:
-        if tm.get("replay_identical") is False:
-            print("telemetry-on run diverged from the telemetry-off schedule")
-            failed = True
-        if tm.get("on_audits_ok") is False:
-            print("telemetry-on run had audit or health-probe violations")
-            failed = True
-        # Disabled-hook overhead vs the committed baseline: the monitor
-        # null-checks ride the hot path of every run whether or not a
-        # monitor is armed, so they get the same tight band as the trace
-        # hooks.  Cross-report and host-sensitive -- re-baseline on a
-        # runner-class change rather than hunting a phantom regression.
-        base_eps = (baseline.get("scenario") or {}).get("events_per_sec")
-        off_eps = tm.get("off_events_per_sec")
-        if base_eps and off_eps is not None:
-            ratio = off_eps / base_eps
-            status = "OK"
-            if ratio < 1.0 - max_telemetry_overhead:
-                status = "REGRESSED"
-                failed = True
-            print(f"  telemetry-off vs baseline    {base_eps:>14,.0f} -> "
-                  f"{off_eps:>14,.0f}  ({ratio:6.2%})  {status}")
-        elif off_eps is not None:
-            print(f"  telemetry-off vs baseline    (no baseline)  "
-                  f"{off_eps:,.0f} events/sec")
-        overhead = tm.get("overhead_ratio")
-        if overhead is not None:
-            print(f"  telemetry-on (armed) overhead {overhead:13.3f}x wall"
-                  f"  (trend only)")
-
-    # --- Paged-store gates ---------------------------------------------------
-    st = (fresh_scn or {}).get("store")
-    if st:
-        if st.get("replay_identical") is False:
-            print("paged-store run diverged from the in-memory schedule "
-                  "at zero I/O latency")
-            failed = True
-        if st.get("on_audits_ok") is False:
-            print("paged-store run had audit violations")
-            failed = True
-        # In-memory overhead vs the committed baseline: the ItemStore facade
-        # (virtual dispatch, cursor iteration) rides every run's hot path.
-        base_eps = (baseline.get("scenario") or {}).get("events_per_sec")
-        off_eps = st.get("off_events_per_sec")
-        if base_eps and off_eps is not None:
-            ratio = off_eps / base_eps
-            status = "OK"
-            if ratio < 1.0 - max_store_overhead:
-                status = "REGRESSED"
-                failed = True
-            print(f"  store-off vs baseline        {base_eps:>14,.0f} -> "
-                  f"{off_eps:>14,.0f}  ({ratio:6.2%})  {status}")
-        elif off_eps is not None:
-            print(f"  store-off vs baseline        (no baseline)  "
-                  f"{off_eps:,.0f} events/sec")
-        overhead = st.get("overhead_ratio")
-        if overhead is not None:
-            print(f"  store-on (paged) overhead    {overhead:13.3f}x wall, "
-                  f"hit rate {st.get('hit_rate', 1.0):.4f} "
-                  f"({st.get('buffer_faults', 0):,} faults)  (trend only)")
+        off_wall = arm.get("off_wall_seconds")
+        if fresh_sim_s and off_wall:
+            rate = fresh_sim_s / off_wall
+            if base_rate:
+                ratio = rate / base_rate
+                status = "OK"
+                if ratio < 1.0 - band:
+                    status = "REGRESSED"
+                    failed = True
+                print(f"  {key + '-off vs baseline':28s} {base_rate:14.1f} -> "
+                      f"{rate:14.1f} sim s/wall s  ({ratio:6.2%})  {status}")
+            else:
+                print(f"  {key + '-off vs baseline':28s} (no baseline)  "
+                      f"{rate:.1f} sim s/wall s")
+        overhead = arm.get("overhead_ratio")
+        if overhead is None:
+            continue
+        if key == "trace":
+            detail = (f"1-in-{arm.get('on_sample_every', '?')}, "
+                      f"{arm.get('on_records', 0):,} records")
+        elif key == "store":
+            detail = (f"hit rate {arm.get('hit_rate', 1.0):.4f}, "
+                      f"{arm.get('buffer_faults', 0):,} faults")
+        else:
+            detail = "armed"
+        print(f"  {key + '-on overhead':28s} {overhead:14.3f}x wall"
+              f"  ({detail})  (trend only)")
 
     print("perf check:", "FAILED" if failed else "passed")
     return 1 if failed else 0
